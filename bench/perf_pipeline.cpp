@@ -107,6 +107,28 @@ void BM_ScenarioSeedVsCached(benchmark::State& state, bool use_cache) {
 BENCHMARK_CAPTURE(BM_ScenarioSeedVsCached, seed, false)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ScenarioSeedVsCached, cached, true)->Unit(benchmark::kMillisecond);
 
+// Extraction alone over one seed scenario's analyzed components, serial
+// (jobs=1): the serial path of the phased extractor, which must cost no
+// more than a single pass over the components did. Arg = scenario index.
+void BM_ExtractSeedScenario(benchmark::State& state) {
+  const auto scenarios = corpus::scenarios();
+  const corpus::Scenario& scenario = scenarios.at(static_cast<std::size_t>(state.range(0)));
+  std::vector<std::unique_ptr<corpus::AnalyzedComponent>> components;
+  std::vector<extract::ComponentRun> runs;
+  for (const auto& [component, functions] : scenario.selection) {
+    components.push_back(
+        std::make_unique<corpus::AnalyzedComponent>(component, taint::AnalysisOptions{}));
+    components.back()->analyze(functions);
+    runs.push_back(components.back()->asRun());
+  }
+  const extract::ExtractOptions options = corpus::extractOptions();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extract::extractDependencies(runs, options, 1));
+  }
+  state.SetLabel(scenario.id);
+}
+BENCHMARK(BM_ExtractSeedScenario)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -58,7 +58,8 @@ int usage() {
       "usage: fsdep <command> [options]\n"
       "\n"
       "global options (every command):\n"
-      "  --jobs N        analyze N (scenario x component) pairs concurrently\n"
+      "  --jobs N        analyze N (scenario x component) pairs, and extract N\n"
+      "                  components, concurrently\n"
       "                  (default: FSDEP_JOBS env var, else hardware threads)\n"
       "  --stats         print pipeline perf counters (parse/analyze/extract\n"
       "                  time, cache hits, fixpoint merges) to stderr\n"
@@ -759,17 +760,11 @@ int cmdAmplify(const std::vector<std::string>& args) {
     t2 = Clock::now();
 
     component_count = names.size();
-    std::vector<extract::ComponentRun> runs;
-    runs.reserve(components.size());
     for (const auto& component : components) {
       functions += component->analyzer().results().size();
       write_events += component->analyzer().writeEvents().size();
-      runs.push_back(component->asRun());
     }
-    deps = [&] {
-      obs::Span span("amplify", "extract");
-      return extract::extractDependencies(runs, corpus::amplifiedExtractOptions());
-    }();
+    deps = corpus::extractComponents(components, corpus::amplifiedExtractOptions(), "amplify");
 
     if (disk.enabled()) {
       json::Object payload;

@@ -162,23 +162,23 @@ std::vector<std::unique_ptr<AnalyzedComponent>> analyzeScenarioComponents(
   return components;
 }
 
-std::vector<model::Dependency> extractFrom(
+}  // namespace
+
+std::vector<model::Dependency> extractComponents(
     const std::vector<std::unique_ptr<AnalyzedComponent>>& components,
-    const extract::ExtractOptions& options, const std::string& scenario_id) {
+    const extract::ExtractOptions& options, const std::string& scenario_id, std::size_t jobs) {
   obs::Span span("pipeline", "extract");
   span.arg("scenario", scenario_id);
   std::vector<extract::ComponentRun> runs;
   runs.reserve(components.size());
   for (const auto& component : components) runs.push_back(component->asRun());
   const auto start = Clock::now();
-  std::vector<model::Dependency> deps = extract::extractDependencies(runs, options);
+  std::vector<model::Dependency> deps = extract::extractDependencies(runs, options, jobs);
   const obs::Labels by_scenario{{"scenario", scenario_id}};
   reg().counter("pipeline.extract_ns", by_scenario).add(elapsedNs(start));
   reg().counter("pipeline.deps_extracted", by_scenario).add(deps.size());
   return deps;
 }
-
-}  // namespace
 
 std::vector<model::Dependency> runScenario(const Scenario& scenario,
                                            const taint::AnalysisOptions& taint_options,
@@ -211,7 +211,8 @@ std::vector<model::Dependency> runScenario(const Scenario& scenario,
   }
 
   const auto components = analyzeScenarioComponents(scenario, taint_options, pipeline);
-  std::vector<model::Dependency> deps = extractFrom(components, options, scenario.id);
+  std::vector<model::Dependency> deps =
+      extractComponents(components, options, scenario.id, resolveJobs(pipeline));
   if (disk_enabled) disk.store(key, encodeScenarioPayload(deps));
   return deps;
 }
@@ -289,7 +290,8 @@ Table5Result runTable5(const taint::AnalysisOptions& taint_options,
     if (cached[s].has_value()) {
       sr.deps = *std::move(cached[s]);
     } else {
-      sr.deps = extractFrom(analyzed[s], options, sr.id);
+      // Nested in this loop's body, so extraction itself runs serially.
+      sr.deps = extractComponents(analyzed[s], options, sr.id, jobs);
       if (disk_enabled) disk.store(keys[s], encodeScenarioPayload(sr.deps));
     }
     sr.score = extract::scoreScenario(sr.id, sr.deps, groundTruth());

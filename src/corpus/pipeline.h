@@ -5,8 +5,9 @@
 // what the Table 5 bench, the CLI and the integration tests drive.
 //
 // Independent (scenario x component) analyses run concurrently on the
-// support ThreadPool; extraction consumes the results in a fixed order,
-// so serial and parallel runs produce byte-identical output.
+// support ThreadPool, and so does extraction, whose ordered merge
+// consumes the results in a fixed order; serial and parallel runs
+// produce byte-identical output.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +76,8 @@ struct Table5Result {
 
 /// Pipeline execution knobs (orthogonal to what is analyzed).
 struct PipelineOptions {
-  /// Worker count for independent (scenario x component) analyses.
-  /// 0 = the global default (FSDEP_JOBS env var, else hardware
+  /// Worker count for independent (scenario x component) analyses and
+  /// for extraction. 0 = the global default (FSDEP_JOBS env var, else hardware
   /// concurrency; the CLI's --jobs flag overrides). 1 = fully serial.
   std::size_t jobs = 0;
   /// When false, every component is parsed fresh instead of via the
@@ -131,6 +132,16 @@ void resetPipelineStats();
 Table5Result runTable5(const taint::AnalysisOptions& taint_options = {},
                        const extract::ExtractOptions* extract_override = nullptr,
                        const PipelineOptions& pipeline = {});
+
+/// Extracts dependencies from analyzed components, in their order, on
+/// `jobs` workers (0 = the global default) and records the time and the
+/// count under pipeline.extract_ns / pipeline.deps_extracted
+/// {scenario=`scenario_id`}. Every extraction the pipeline and `fsdep
+/// amplify` run goes through here, so --stats sees all of them.
+std::vector<model::Dependency> extractComponents(
+    const std::vector<std::unique_ptr<AnalyzedComponent>>& components,
+    const extract::ExtractOptions& options, const std::string& scenario_id,
+    std::size_t jobs = 0);
 
 /// Runs a single scenario (parse + analyze + extract), unscored.
 /// Component analyses run in parallel per `pipeline`.

@@ -24,6 +24,14 @@
 //              Feature bitmaps are matched bit-precisely: a test of
 //              `s_feature_compat & RESIZE_INODE` bridges only to writers
 //              whose written mask overlaps.
+//
+// Extraction runs in two phases on the worker pool plus one serial merge
+// (DESIGN.md §7): (1) each component's field writers are collected and
+// concatenated in component order into a read-only writer map (the
+// bridge); (2) each component's rules run against it, recording candidate
+// dependencies and SD-range facts in emission order; (3) the merge
+// replays those records in component order through first-wins dedup and
+// range folding. The output is the same at every worker count.
 #pragma once
 
 #include <map>
@@ -57,8 +65,12 @@ struct ExtractOptions {
   bool enable_bridging = true;
 };
 
-/// Extracts and deduplicates dependencies across the given component runs.
+/// Extracts and deduplicates dependencies across the given component runs,
+/// on `jobs` workers of the global ThreadPool (0 = ThreadPool::globalJobs(),
+/// 1 = serial on the calling thread). Runs that share an analyzer are
+/// extracted serially.
 std::vector<model::Dependency> extractDependencies(const std::vector<ComponentRun>& runs,
-                                                   const ExtractOptions& options);
+                                                   const ExtractOptions& options,
+                                                   std::size_t jobs = 0);
 
 }  // namespace fsdep::extract

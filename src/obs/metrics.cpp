@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <shared_mutex>
 
 #include "obs/jsonw.h"
 
@@ -89,14 +90,23 @@ struct Registry::Impl {
     std::unique_ptr<Histogram> histogram;
   };
 
-  mutable std::mutex mu;
+  /// Guards the map's shape only: instruments are atomics, so finding,
+  /// reading and zeroing them needs the shared side, and only inserting
+  /// a new series takes the exclusive side. Per-component lookups from
+  /// every pool worker therefore no longer queue behind one another.
+  mutable std::shared_mutex mu;
   std::map<std::string, Entry> entries;  ///< ordered => deterministic JSON
 
   Entry& lookup(std::string_view name, const Labels& labels, int kind,
                 std::vector<std::uint64_t> bounds) {
     const std::string key = makeKey(name, labels);
-    const std::lock_guard<std::mutex> lock(mu);
-    auto it = entries.find(key);
+    {
+      const std::shared_lock<std::shared_mutex> lock(mu);
+      const auto it = entries.find(key);
+      if (it != entries.end()) return it->second;
+    }
+    const std::lock_guard<std::shared_mutex> lock(mu);
+    auto it = entries.find(key);  // another thread may have inserted it meanwhile
     if (it == entries.end()) {
       Entry entry;
       entry.name = std::string(name);
@@ -143,7 +153,7 @@ Histogram& Registry::histogram(std::string_view name, const Labels& labels,
 
 std::uint64_t Registry::counterSum(std::string_view name) const {
   std::uint64_t total = 0;
-  const std::lock_guard<std::mutex> lock(impl_->mu);
+  const std::shared_lock<std::shared_mutex> lock(impl_->mu);
   for (const auto& [key, entry] : impl_->entries) {
     if (entry.kind == kCounter && entry.name == name) total += entry.counter->value();
   }
@@ -152,7 +162,7 @@ std::uint64_t Registry::counterSum(std::string_view name) const {
 
 std::uint64_t Registry::counterValue(std::string_view name, const Labels& labels) const {
   const std::string key = makeKey(name, labels);
-  const std::lock_guard<std::mutex> lock(impl_->mu);
+  const std::shared_lock<std::shared_mutex> lock(impl_->mu);
   const auto it = impl_->entries.find(key);
   if (it == impl_->entries.end() || it->second.kind != kCounter) return 0;
   return it->second.counter->value();
@@ -160,14 +170,14 @@ std::uint64_t Registry::counterValue(std::string_view name, const Labels& labels
 
 std::uint64_t Registry::gaugeValue(std::string_view name, const Labels& labels) const {
   const std::string key = makeKey(name, labels);
-  const std::lock_guard<std::mutex> lock(impl_->mu);
+  const std::shared_lock<std::shared_mutex> lock(impl_->mu);
   const auto it = impl_->entries.find(key);
   if (it == impl_->entries.end() || it->second.kind != kGauge) return 0;
   return it->second.gauge->value();
 }
 
 void Registry::reset(std::string_view prefix) {
-  const std::lock_guard<std::mutex> lock(impl_->mu);
+  const std::shared_lock<std::shared_mutex> lock(impl_->mu);
   for (auto& [key, entry] : impl_->entries) {
     if (entry.name.compare(0, prefix.size(), prefix) != 0) continue;
     switch (entry.kind) {
@@ -196,7 +206,7 @@ void writeLabels(JsonWriter& w, const Labels& labels) {
 }  // namespace
 
 std::string Registry::renderJson() const {
-  const std::lock_guard<std::mutex> lock(impl_->mu);
+  const std::shared_lock<std::shared_mutex> lock(impl_->mu);
   JsonWriter w;
   w.beginObject();
 

@@ -65,10 +65,17 @@ class ThreadPool {
   /// loops over thousands of small components pay one atomic operation
   /// per chunk instead of per iteration while keeping late-chunk
   /// stealing for load balance; fn must tolerate any execution order.
+  ///
+  /// A parallelFor called from inside another loop's body runs serially
+  /// on the calling thread: the outer loop already occupies the pool,
+  /// and waiting on it from one of its own jobs would never return.
   template <typename Fn>
   static void parallelFor(std::size_t n, std::size_t jobs, Fn&& fn);
 
  private:
+  /// True while this thread runs a parallelFor body (see above).
+  static inline thread_local bool in_loop_body_ = false;
+
   void workerLoop();
   bool runOneJob(std::unique_lock<std::mutex>& lock);
 
@@ -85,7 +92,7 @@ class ThreadPool {
 template <typename Fn>
 void ThreadPool::parallelFor(std::size_t n, std::size_t jobs, Fn&& fn) {
   if (jobs == 0) jobs = globalJobs();
-  if (n <= 1 || jobs <= 1) {
+  if (n <= 1 || jobs <= 1 || in_loop_body_) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -102,6 +109,10 @@ void ThreadPool::parallelFor(std::size_t n, std::size_t jobs, Fn&& fn) {
   if (chunk == 0) chunk = 1;
 
   auto body = [n, chunk, next, err_mu, first_error, &fn]() {
+    in_loop_body_ = true;
+    struct Unmark {  // cleared on every way out of the body
+      ~Unmark() { in_loop_body_ = false; }
+    } unmark;
     for (;;) {
       const std::size_t begin = next->fetch_add(chunk, std::memory_order_relaxed);
       if (begin >= n) return;

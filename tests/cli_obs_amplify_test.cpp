@@ -2,15 +2,20 @@
 // with tracing, metrics and profiling enabled must not perturb its
 // stdout, in both taint engine modes. Timing lines vary run to run, so
 // the comparison strips them; everything else (counts, dependency
-// totals, engine name) must match byte for byte. check_sanitize.sh also
-// runs this binary under TSan — the amplified run is the most
-// thread-hostile workload the obs layer sees.
+// totals, engine name) must match byte for byte. The profile must split
+// extraction into its phases, and --stats must see the extraction time.
+// check_sanitize.sh also runs this binary under TSan — the amplified run
+// is the most thread-hostile workload the obs layer sees.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+
+#include "json/json.h"
 
 namespace fsdep {
 namespace {
@@ -20,8 +25,11 @@ std::string tempPath(const char* name) {
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
 }
 
-std::string runCli(const std::string& args) {
-  const std::string command = std::string(FSDEP_CLI_PATH) + " " + args + " 2>/dev/null";
+/// Runs the CLI and returns its stdout, or its stderr when `stream` is
+/// "stderr" (stdout is then discarded).
+std::string runCli(const std::string& args, const std::string& stream = "stdout") {
+  const std::string command = std::string(FSDEP_CLI_PATH) + " " + args +
+                              (stream == "stderr" ? " 2>&1 >/dev/null" : " 2>/dev/null");
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << command;
   std::string out;
@@ -66,6 +74,37 @@ TEST_P(CliObsAmplify, InstrumentationKeepsStdoutIdentical) {
   EXPECT_EQ(withoutTimings(plain), withoutTimings(instrumented));
   // Sanity: the run actually analyzed the amplified corpus.
   EXPECT_NE(plain.find("components:   300"), std::string::npos) << plain;
+
+  // The profile attributes extraction to its two pool phases and the merge.
+  std::ifstream in(profile);
+  std::stringstream text;
+  text << in.rdbuf();
+  const Result<json::Value> parsed = json::parse(text.str());
+  ASSERT_TRUE(parsed.ok()) << profile;
+  std::set<std::string> spans;
+  const auto collect = [&spans](const json::Value& node, const auto& self) -> void {
+    const json::Object& object = node.asObject();
+    if (const json::Value* category = object.find("category")) {
+      spans.insert(category->asString() + "/" + object.find("name")->asString());
+    }
+    if (const json::Value* children = object.find("children")) {
+      for (const json::Value& child : children->asArray()) self(child, self);
+    }
+  };
+  collect(*parsed.value().asObject().find("root"), collect);
+  for (const char* span : {"extract/writers", "extract/component", "extract/merge"}) {
+    EXPECT_TRUE(spans.contains(span)) << span << " missing from " << profile;
+  }
+}
+
+TEST_P(CliObsAmplify, StatsReportExtractionTime) {
+  const std::string stats =
+      runCli("amplify --factor 50 --seed 42 " + std::string(GetParam()) + " --stats", "stderr");
+  const std::string label = "\n  extract ";
+  const std::size_t line = stats.find(label);
+  ASSERT_NE(line, std::string::npos) << stats;
+  const double extract_ms = std::strtod(stats.c_str() + line + label.size(), nullptr);
+  EXPECT_GT(extract_ms, 0.0) << stats;
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, CliObsAmplify, ::testing::Values("--inter", "--intra"));

@@ -263,6 +263,30 @@ TEST(Extract, MaskMismatchDoesNotBridge) {
   }
 }
 
+TEST(Extract, RunsSharingAnAnalyzerMatchTheSerialResult) {
+  // The rules may intern labels into a run's analyzer, so runs sharing
+  // one are extracted on one thread whatever the worker count.
+  BridgedPair pair(
+      "void check(struct super *sb) {\n"
+      "  long target = 0;\n"
+      "  if (target < sb->blocks) { fatal_error(\"too small\"); }\n"
+      "}",
+      {{"check", "target", "resize2fs.size"}});
+  const std::vector<ComponentRun> runs{pair.writer.run(), pair.reader.run(), pair.reader.run(),
+                                       pair.writer.run()};
+  const auto render = [](const std::vector<Dependency>& deps) {
+    std::string out;
+    for (const Dependency& d : deps) {
+      out += d.id + " " + d.summary() + "\n";
+      for (const std::string& step : d.trace) out += "  " + step + "\n";
+    }
+    return out;
+  };
+  const std::string serial = render(extractDependencies(runs, defaultOptions(), 1));
+  EXPECT_NE(serial.find("ccd-value-resize2fs-size-mke2fs-size"), std::string::npos) << serial;
+  EXPECT_EQ(render(extractDependencies(runs, defaultOptions(), 4)), serial);
+}
+
 TEST(Extract, CcdBehavioralFromBranch) {
   BridgedPair pair(
       "void decide(struct super *sb) {\n"

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "json/json.h"
@@ -213,6 +214,34 @@ TEST(Metrics, ConcurrentIncrementsDoNotTear) {
   EXPECT_EQ(c.value(), 4u * kPerThread);
   EXPECT_EQ(h.count(), 4u * kPerThread);
   EXPECT_EQ(h.bucketValue(0) + h.bucketValue(1), 4u * kPerThread);
+}
+
+TEST(Metrics, LookupsOfOneSeriesRaceInsertsOfNewOnes) {
+  // Finding an existing series takes the registry's shared lock and
+  // inserting a new one its exclusive lock; lookups racing inserts must
+  // keep returning the one instrument and lose no series.
+  Registry reg;
+  Counter& shared = reg.counter("lookup.shared", {{"component", "c"}});
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  std::atomic<int> wrong_handles{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&reg, &shared, &wrong_handles, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        Counter& found = reg.counter("lookup.shared", {{"component", "c"}});
+        if (&found != &shared) wrong_handles.fetch_add(1);
+        found.add();
+        reg.counter("lookup.inserted", {{"thread", std::to_string(t)}, {"i", std::to_string(i)}})
+            .add();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong_handles.load(), 0);
+  EXPECT_EQ(shared.value(), static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(reg.counterSum("lookup.inserted"), static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(reg.counterValue("lookup.inserted", {{"i", "7"}, {"thread", "3"}}), 1u);
 }
 
 // ------------------------------------------------------------------ log

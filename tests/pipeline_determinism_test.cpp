@@ -4,12 +4,15 @@
 // not be).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "corpus/amplify.h"
 #include "corpus/pipeline.h"
 #include "json/json.h"
 #include "model/serialization.h"
+#include "support/thread_pool.h"
 
 namespace fsdep::corpus {
 namespace {
@@ -81,6 +84,74 @@ TEST(PipelineDeterminism, ScenarioRunsAreIdenticalAcrossJobCounts) {
     json::Value a = model::toJson(serial);
     json::Value b = model::toJson(parallel);
     EXPECT_EQ(json::writePretty(a), json::writePretty(b)) << "scenario " << s.id;
+  }
+}
+
+/// Analyzed components and their runs, ready for extractDependencies.
+struct AnalyzedRuns {
+  std::vector<std::unique_ptr<AnalyzedComponent>> components;
+  std::vector<extract::ComponentRun> runs;
+};
+
+AnalyzedRuns analyzeAll(const std::vector<std::pair<std::string, std::vector<std::string>>>& work,
+                        const taint::AnalysisOptions& taint_options) {
+  AnalyzedRuns out;
+  out.components.resize(work.size());
+  ThreadPool::parallelFor(work.size(), 4, [&](std::size_t i) {
+    auto component = std::make_unique<AnalyzedComponent>(work[i].first, taint_options);
+    component->analyze(work[i].second);
+    out.components[i] = std::move(component);
+  });
+  for (const auto& component : out.components) out.runs.push_back(component->asRun());
+  return out;
+}
+
+std::string extractJson(const AnalyzedRuns& analyzed, const extract::ExtractOptions& options,
+                        std::size_t jobs) {
+  return json::writeCompact(
+      model::toJson(extract::extractDependencies(analyzed.runs, options, jobs)));
+}
+
+/// The phased extractor's contract: jobs 1, 2 and 4 give the same bytes,
+/// run after run.
+void expectIdenticalAcrossJobCounts(const AnalyzedRuns& analyzed,
+                                    const extract::ExtractOptions& options,
+                                    const std::string& what) {
+  const std::string reference = extractJson(analyzed, options, 1);
+  ASSERT_GT(reference.size(), 2u) << what;  // more than "[]"
+  for (const std::size_t jobs : {1, 2, 4}) {
+    for (int run = 0; run < 3; ++run) {
+      EXPECT_EQ(extractJson(analyzed, options, jobs), reference)
+          << what << ", jobs " << jobs << ", run " << run;
+    }
+  }
+}
+
+class AmplifiedExtraction : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AmplifiedExtraction, IdenticalAtEveryJobCount) {
+  taint::AnalysisOptions taint_options;
+  taint_options.inter_procedural = GetParam();
+  std::vector<std::pair<std::string, std::vector<std::string>>> work;
+  for (std::string& name : amplifyCorpus({.factor = 50, .seed = 42})) {
+    work.emplace_back(std::move(name), std::vector<std::string>{});
+  }
+  const AnalyzedRuns analyzed = analyzeAll(work, taint_options);
+  expectIdenticalAcrossJobCounts(analyzed, amplifiedExtractOptions(),
+                                 GetParam() ? "amplified, inter" : "amplified, intra");
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, AmplifiedExtraction, ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Inter" : "Intra";
+                         });
+
+TEST(PipelineDeterminism, SeedScenarioExtractionIsIdenticalAtEveryJobCount) {
+  for (const Scenario& scenario : scenarios()) {
+    const std::vector<std::pair<std::string, std::vector<std::string>>> work(
+        scenario.selection.begin(), scenario.selection.end());
+    const AnalyzedRuns analyzed = analyzeAll(work, {});
+    expectIdenticalAcrossJobCounts(analyzed, extractOptions(), "scenario " + scenario.id);
   }
 }
 

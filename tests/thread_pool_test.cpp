@@ -93,6 +93,23 @@ TEST(ParallelFor, ExceptionDoesNotPoisonThePool) {
   EXPECT_EQ(ran.load(), 32);
 }
 
+TEST(ParallelFor, NestedLoopRunsInlineAndCoversEveryPair) {
+  // The inner loops run inside pool jobs; fanning them out would wait on
+  // the pool from one of its own jobs and never return.
+  constexpr std::size_t kN = 8;
+  std::vector<std::atomic<int>> hits(kN * kN);
+  ThreadPool::parallelFor(kN, 4, [&hits](std::size_t i) {
+    ThreadPool::parallelFor(kN, 4, [&hits, i](std::size_t j) { hits[i * kN + j].fetch_add(1); });
+  });
+  for (std::size_t k = 0; k < kN * kN; ++k) {
+    EXPECT_EQ(hits[k].load(), 1) << "pair " << k / kN << "," << k % kN;
+  }
+  // The pool still fans out afterwards.
+  std::atomic<int> ran{0};
+  ThreadPool::parallelFor(32, 4, [&ran](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 32);
+}
+
 TEST(DefaultJobs, ReadsFsdepJobsEnvVar) {
   ::setenv("FSDEP_JOBS", "7", 1);
   EXPECT_EQ(ThreadPool::defaultJobs(), 7u);
