@@ -1,7 +1,6 @@
-// Kernel-scale benchmarks (google-benchmark): the SCC-summary
-// inter-procedural engine against the legacy whole-program re-analysis
-// fixpoint, on the seed corpus and on amplified corpora 10x and 100x
-// its size. BM_Table5IntraSeed is the reference point for the scale
+// Kernel-scale benchmarks (google-benchmark): the inter-procedural
+// worklist engine against intra-procedural analysis, on the seed corpus
+// and on amplified corpora 10x and 100x its size. BM_Table5IntraSeed is the reference point for the scale
 // guard in scripts/bench_compare.sh: inter-procedural analysis of the
 // 100x amplified corpus must stay within 10x of an intra Table 5 run
 // on the seed corpus (BENCH_scale.json).
@@ -25,23 +24,17 @@ using namespace fsdep;
 
 namespace {
 
-taint::AnalysisOptions interSummary() {
+taint::AnalysisOptions inter() {
   taint::AnalysisOptions topts;
   topts.inter_procedural = true;
   return topts;
 }
 
-taint::AnalysisOptions interLegacy() {
-  taint::AnalysisOptions topts = interSummary();
-  topts.summaries = false;
-  return topts;
-}
-
-// The AST-walk oracle (--legacy-walk): same passes, same results, but
+// The AST-walk oracle (--legacy-walk): same rounds, same results, but
 // every fixpoint visit re-interprets statement trees instead of running
 // the compiled Taint-IR. The Walk rows measure what the IR bought.
-taint::AnalysisOptions interSummaryWalk() {
-  taint::AnalysisOptions topts = interSummary();
+taint::AnalysisOptions interWalk() {
+  taint::AnalysisOptions topts = inter();
   topts.compile_ir = false;
   return topts;
 }
@@ -57,20 +50,11 @@ void runTable5Bench(benchmark::State& state, const taint::AnalysisOptions& topts
 void BM_Table5IntraSeed(benchmark::State& state) { runTable5Bench(state, {}); }
 BENCHMARK(BM_Table5IntraSeed)->Unit(benchmark::kMillisecond);
 
-void BM_Table5InterSummarySeed(benchmark::State& state) {
-  runTable5Bench(state, interSummary());
-}
-BENCHMARK(BM_Table5InterSummarySeed)->Unit(benchmark::kMillisecond);
+void BM_Table5InterSeed(benchmark::State& state) { runTable5Bench(state, inter()); }
+BENCHMARK(BM_Table5InterSeed)->Unit(benchmark::kMillisecond);
 
-void BM_Table5InterLegacySeed(benchmark::State& state) {
-  runTable5Bench(state, interLegacy());
-}
-BENCHMARK(BM_Table5InterLegacySeed)->Unit(benchmark::kMillisecond);
-
-void BM_Table5InterSummaryWalkSeed(benchmark::State& state) {
-  runTable5Bench(state, interSummaryWalk());
-}
-BENCHMARK(BM_Table5InterSummaryWalkSeed)->Unit(benchmark::kMillisecond);
+void BM_Table5InterWalkSeed(benchmark::State& state) { runTable5Bench(state, interWalk()); }
+BENCHMARK(BM_Table5InterWalkSeed)->Unit(benchmark::kMillisecond);
 
 /// Analyzes every amplified component (all functions) on the pool and
 /// extracts dependencies over the whole synthetic ecosystem — the
@@ -103,23 +87,14 @@ void runAmplifiedBench(benchmark::State& state, const taint::AnalysisOptions& to
   state.counters["deps"] = static_cast<double>(deps);
 }
 
-void BM_AmplifiedInterSummary(benchmark::State& state) {
-  runAmplifiedBench(state, interSummary());
-}
-BENCHMARK(BM_AmplifiedInterSummary)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
-
-void BM_AmplifiedInterLegacy(benchmark::State& state) {
-  runAmplifiedBench(state, interLegacy());
-}
-BENCHMARK(BM_AmplifiedInterLegacy)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
+void BM_AmplifiedInter(benchmark::State& state) { runAmplifiedBench(state, inter()); }
+BENCHMARK(BM_AmplifiedInter)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
 
 void BM_AmplifiedIntra(benchmark::State& state) { runAmplifiedBench(state, {}); }
 BENCHMARK(BM_AmplifiedIntra)->Arg(100)->Unit(benchmark::kMillisecond);
 
-void BM_AmplifiedInterSummaryWalk(benchmark::State& state) {
-  runAmplifiedBench(state, interSummaryWalk());
-}
-BENCHMARK(BM_AmplifiedInterSummaryWalk)->Arg(100)->Unit(benchmark::kMillisecond);
+void BM_AmplifiedInterWalk(benchmark::State& state) { runAmplifiedBench(state, interWalk()); }
+BENCHMARK(BM_AmplifiedInterWalk)->Arg(100)->Unit(benchmark::kMillisecond);
 
 // Pure generation cost (registry rebuild included): the amplifier must
 // never dominate the pipeline it feeds.
@@ -145,8 +120,7 @@ BENCHMARK(BM_AmplifyGenerate)->Arg(100)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   if (std::getenv("FSDEP_BENCH_KERNEL_SCALE") != nullptr) {
     benchmark::RegisterBenchmark(
-        "BM_AmplifiedInterSummary",
-        [](benchmark::State& state) { runAmplifiedBench(state, interSummary()); })
+        "BM_AmplifiedInter", [](benchmark::State& state) { runAmplifiedBench(state, inter()); })
         ->Arg(1000)
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);

@@ -62,7 +62,7 @@ for label, enabled in (("tracing", on), ("profiling", profiling)):
         sys.exit(f"{label} overhead {overhead:.2f}% exceeds the 3% budget")
 EOF
 
-# Kernel-scale guard: the SCC-summary inter-procedural engine on the
+# Kernel-scale guard: the inter-procedural worklist engine on the
 # 100x amplified corpus (600 components) against an intra-procedural
 # Table 5 run on the seed corpus, plus the inter-vs-intra overhead on
 # the amplified corpus itself and the Taint-IR vs AST-walk delta.
@@ -94,21 +94,19 @@ doc = json.load(open(sys.argv[1]))
 means = {b["name"]: b["real_time"] for b in doc["benchmarks"]
          if b.get("aggregate_name") == "mean"}
 seed_intra = means.get("BM_Table5IntraSeed_mean")
-amp_inter = means.get("BM_AmplifiedInterSummary/100_mean")
+amp_inter = means.get("BM_AmplifiedInter/100_mean")
 amp_intra = means.get("BM_AmplifiedIntra/100_mean")
-amp_legacy = means.get("BM_AmplifiedInterLegacy/100_mean")
-amp_walk = means.get("BM_AmplifiedInterSummaryWalk/100_mean")
+amp_walk = means.get("BM_AmplifiedInterWalk/100_mean")
 if seed_intra is None or amp_inter is None or amp_intra is None:
-    sys.exit("missing BM_Table5IntraSeed/BM_AmplifiedInterSummary/BM_AmplifiedIntra "
+    sys.exit("missing BM_Table5IntraSeed/BM_AmplifiedInter/BM_AmplifiedIntra "
              "in the benchmark output")
 
 scale_ratio = amp_inter / seed_intra
 overhead = amp_inter / amp_intra
 print(f"scale: seed-intra Table5 {seed_intra:.2f} ms, "
-      f"100x amplified inter-summary {amp_inter:.2f} ms "
+      f"100x amplified inter {amp_inter:.2f} ms "
       f"-> scale ratio {scale_ratio:.1f}x (target 10x)")
-print(f"scale: amplified inter-summary vs intra overhead {overhead:.2f}x"
-      + (f", vs legacy global-pass {amp_inter / amp_legacy:.2f}x" if amp_legacy else ""))
+print(f"scale: amplified inter vs intra overhead {overhead:.2f}x")
 if amp_walk is not None:
     print(f"scale: Taint-IR vs AST walk on the amplified corpus "
           f"{amp_walk / amp_inter:.2f}x")

@@ -44,12 +44,11 @@ PIPELINE_RATIOS = {
 }
 
 SCALE_RATIOS = {
-    "scale_ratio": ("BM_AmplifiedInterSummary/100_mean", "BM_Table5IntraSeed_mean", "lower"),
-    "inter_overhead": ("BM_AmplifiedInterSummary/100_mean", "BM_AmplifiedIntra/100_mean", "lower"),
+    "scale_ratio": ("BM_AmplifiedInter/100_mean", "BM_Table5IntraSeed_mean", "lower"),
+    "inter_overhead": ("BM_AmplifiedInter/100_mean", "BM_AmplifiedIntra/100_mean", "lower"),
     # What compiling transfer functions to Taint-IR buys over the AST
     # walk on the amplified corpus (end-to-end analyze+extract).
-    "ir_speedup": ("BM_AmplifiedInterSummaryWalk/100_mean",
-                   "BM_AmplifiedInterSummary/100_mean", "higher"),
+    "ir_speedup": ("BM_AmplifiedInterWalk/100_mean", "BM_AmplifiedInter/100_mean", "higher"),
 }
 
 PIPELINE_ABSOLUTE = [
@@ -63,9 +62,9 @@ PIPELINE_ABSOLUTE = [
 
 SCALE_ABSOLUTE = [
     "BM_Table5IntraSeed_mean",
-    "BM_AmplifiedInterSummary/100_mean",
+    "BM_AmplifiedInter/100_mean",
     "BM_AmplifiedIntra/100_mean",
-    "BM_AmplifiedInterSummaryWalk/100_mean",
+    "BM_AmplifiedInterWalk/100_mean",
 ]
 
 

@@ -9,16 +9,19 @@
 //   fsdep figure1
 //   fsdep dump-ast <component>
 //   fsdep dump-cfg <component> <function>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ast/parser.h"
@@ -88,12 +91,10 @@ int usage() {
       "  extract    run the static analyzer over the corpus and print the\n"
       "             extracted multi-level dependencies\n"
       "               --scenario s1..s4   analyze one scenario (default: all)\n"
-      "               --inter             inter-procedural taint (SCC-summarized;\n"
-      "                                   default: FSDEP_INTER env var, else intra)\n"
+      "               --inter             inter-procedural taint (default:\n"
+      "                                   FSDEP_INTER env var, else intra)\n"
       "               --intra             force intra-procedural taint (opt-out\n"
       "                                   when FSDEP_INTER is set)\n"
-      "               --legacy-passes     inter via whole-program re-analysis\n"
-      "                                   instead of SCC summaries (oracle)\n"
       "               --legacy-walk       interpret AST statements instead of\n"
       "                                   compiled Taint-IR (oracle)\n"
       "               --no-bridging       disable metadata bridging (ablation)\n"
@@ -102,16 +103,13 @@ int usage() {
       "  table3     bug-study distribution (paper Table 3)\n"
       "  table4     dependency taxonomy (paper Table 4)\n"
       "  table5     extraction evaluation (paper Table 5)\n"
-      "               --inter / --intra / --legacy-passes / --legacy-walk\n"
-      "                 as in extract\n"
+      "               --inter / --intra / --legacy-walk as in extract\n"
       "  amplify    generate a synthetic amplified corpus (deterministic,\n"
       "             config-flow shaped) and analyze it end to end\n"
       "               --factor N      synthetic components per real Ext4\n"
       "                               component (default 100 -> 600 total)\n"
       "               --seed S        generator seed (default 42)\n"
-      "               --intra         intra-procedural taint (default: inter\n"
-      "                               with SCC summaries)\n"
-      "               --legacy-passes inter via whole-program re-analysis\n"
+      "               --intra         intra-procedural taint (default: inter)\n"
       "               --legacy-walk   AST-walk oracle (default: Taint-IR)\n"
       "               --budget-ms M   exit 3 when the end-to-end run exceeds\n"
       "                               M milliseconds (CI wall-clock guard)\n"
@@ -164,6 +162,7 @@ int usage() {
       "               --timing        print cached/wall_us to stderr\n"
       "               --raw JSON      send a raw request line instead\n"
       "  xfs        run the analyzer over the XFS mini-ecosystem (paper SS6)\n"
+      "               --inter / --intra / --legacy-walk / --json as in extract\n"
       "  bugs       list the 67-case bug study dataset (--json for JSON)\n"
       "  explain    show everything known about one parameter\n"
       "  graph      emit the dependency graph as Graphviz dot\n"
@@ -190,6 +189,30 @@ std::string flagValue(const std::vector<std::string>& args, const char* flag,
   return fallback;
 }
 
+/// True when every argument from `first` on is one `command` knows:
+/// a `switches` entry, or a `valued` flag followed by its value.
+/// Otherwise prints the offending argument and returns false, so a
+/// misspelled or removed flag fails loudly instead of being ignored.
+bool knownArgs(const char* command, const std::vector<std::string>& args,
+               std::initializer_list<std::string_view> switches,
+               std::initializer_list<std::string_view> valued = {}, std::size_t first = 0) {
+  const auto in = [](std::initializer_list<std::string_view> set, const std::string& arg) {
+    return std::find(set.begin(), set.end(), arg) != set.end();
+  };
+  for (std::size_t i = first; i < args.size(); ++i) {
+    if (in(switches, args[i])) continue;
+    if (!in(valued, args[i])) {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", command, args[i].c_str());
+      return false;
+    }
+    if (++i == args.size()) {
+      std::fprintf(stderr, "%s: %s requires a value\n", command, args[i - 1].c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
 /// FSDEP_INTER environment variable (parity with FSDEP_JOBS): set to
 /// anything but "", "0", "false" or "off" to make inter-procedural taint
 /// the default for extract/table5/check. Flags still win over the env.
@@ -200,22 +223,25 @@ bool envInterDefault() {
   return !(value.empty() || value == "0" || value == "false" || value == "off");
 }
 
-/// Taint-engine selection shared by extract, table5 and check:
+/// Taint-engine selection shared by extract, table5, xfs and check:
 /// FSDEP_INTER sets the default, --inter forces inter-procedural,
-/// --intra forces intra-procedural, and --legacy-passes swaps the
-/// SCC-summary engine for the whole-program re-analysis fixpoint (the
-/// equivalence oracle).
+/// --intra forces intra-procedural, and --legacy-walk swaps the compiled
+/// Taint-IR for the AST-walk oracle.
 taint::AnalysisOptions taintOptionsFromFlags(const std::vector<std::string>& args) {
   taint::AnalysisOptions topts;
   topts.inter_procedural = envInterDefault();
   if (hasFlag(args, "--inter")) topts.inter_procedural = true;
   if (hasFlag(args, "--intra")) topts.inter_procedural = false;
-  if (hasFlag(args, "--legacy-passes")) topts.summaries = false;
   if (hasFlag(args, "--legacy-walk")) topts.compile_ir = false;
   return topts;
 }
 
 int cmdExtract(const std::vector<std::string>& args) {
+  if (!knownArgs("extract", args,
+                 {"--inter", "--intra", "--legacy-walk", "--no-bridging", "--json"},
+                 {"--scenario"})) {
+    return 2;
+  }
   taint::AnalysisOptions topts = taintOptionsFromFlags(args);
   extract::ExtractOptions eopts = corpus::extractOptions();
   eopts.enable_bridging = !hasFlag(args, "--no-bridging");
@@ -576,6 +602,10 @@ int cmdCheck(const std::vector<std::string>& args) {
     std::fprintf(stderr, "check: need a C file\n");
     return 2;
   }
+  if (!knownArgs("check", args, {"--inter", "--intra", "--legacy-walk", "--json"},
+                 {"--component", "--owner", "--seed"}, /*first=*/1)) {
+    return 2;
+  }
   const std::string path = args[0];
   std::ifstream in(path);
   if (!in) {
@@ -660,6 +690,10 @@ int cmdCheck(const std::vector<std::string>& args) {
 /// extract dependencies over the whole ecosystem. --budget-ms turns the
 /// run into a CI wall-clock guard (exit 3 on overrun).
 int cmdAmplify(const std::vector<std::string>& args) {
+  if (!knownArgs("amplify", args, {"--inter", "--intra", "--legacy-walk", "--json"},
+                 {"--factor", "--seed", "--budget-ms"})) {
+    return 2;
+  }
   corpus::AmplifyOptions aopts;
   const auto parseCount = [&args](const char* flag, std::uint64_t fallback,
                                   std::uint64_t& out) -> bool {
@@ -686,8 +720,9 @@ int cmdAmplify(const std::vector<std::string>& args) {
 
   taint::AnalysisOptions topts;
   topts.inter_procedural = !hasFlag(args, "--intra");
-  if (hasFlag(args, "--legacy-passes")) topts.summaries = false;
   if (hasFlag(args, "--legacy-walk")) topts.compile_ir = false;
+  // Analysis and extraction below run on the global pool.
+  obs::Registry::global().gauge("pipeline.jobs").set(ThreadPool::globalJobs());
 
   using Clock = std::chrono::steady_clock;
   const auto millisSince = [](Clock::time_point from, Clock::time_point to) {
@@ -782,9 +817,7 @@ int cmdAmplify(const std::vector<std::string>& args) {
   const double extract_ms = millisSince(t2, t3);
   const double total_ms = millisSince(t0, t3);
   const bool over_budget = budget_ms > 0 && total_ms > static_cast<double>(budget_ms);
-  const char* engine = !topts.inter_procedural ? "intra"
-                       : topts.summaries       ? "summary"
-                                               : "legacy-passes";
+  const char* engine = topts.inter_procedural ? "inter" : "intra";
 
   {
     obs::RunReport& report = obs::RunReport::global();
@@ -851,6 +884,12 @@ int cmdServe(const std::vector<std::string>& args) {
 }
 
 int cmdQuery(const std::vector<std::string>& args) {
+  if (!knownArgs("query", args,
+                 {"--inter", "--intra", "--legacy-walk", "--no-bridging", "--json", "--self-deps",
+                  "--timing"},
+                 {"--socket", "--type", "--scenario", "--param", "--raw"})) {
+    return 2;
+  }
   const std::string socket = flagValue(args, "--socket", tools::defaultSocketPath());
 
   const std::string raw = flagValue(args, "--raw", "");
@@ -873,7 +912,6 @@ int cmdQuery(const std::vector<std::string>& args) {
   if (!param.empty()) request["param"] = param;
   if (hasFlag(args, "--inter")) request["inter"] = true;
   if (hasFlag(args, "--intra")) request["intra"] = true;
-  if (hasFlag(args, "--legacy-passes")) request["legacy_passes"] = true;
   if (hasFlag(args, "--legacy-walk")) request["legacy_walk"] = true;
   if (hasFlag(args, "--no-bridging")) request["no_bridging"] = true;
   if (hasFlag(args, "--json")) request["json"] = true;
@@ -925,6 +963,7 @@ int runCommand(const std::string& command, const std::vector<std::string>& args)
     return 0;
   }
   if (command == "table5") {
+    if (!knownArgs("table5", args, {"--inter", "--intra", "--legacy-walk"})) return 2;
     const corpus::Table5Result result = corpus::runTable5(taintOptionsFromFlags(args));
     obs::RunReport::global().note("unique_deps", result.unique_deps.size());
     std::fputs(corpus::formatTable5(result).c_str(), stdout);
@@ -964,6 +1003,7 @@ int runCommand(const std::string& command, const std::vector<std::string>& args)
   if (command == "crashck") return cmdCrashCk(args);
   if (command == "campaign") return cmdCampaign(args);
   if (command == "xfs") {
+    if (!knownArgs("xfs", args, {"--inter", "--intra", "--legacy-walk", "--json"})) return 2;
     const extract::ExtractOptions options = corpus::xfsExtractOptions();
     const auto deps =
         corpus::runScenario(corpus::xfsScenario(), taintOptionsFromFlags(args), &options);

@@ -1,7 +1,7 @@
 // The corpus amplifier: a deterministic generator of synthetic components
 // with the config-flow shapes of the real corpus — getopt/switch and
 // option-string parse chains, helper call trees (including mutually
-// recursive pairs, so call-graph SCCs are exercised), struct field stores
+// recursive pairs, so call-graph cycles are exercised), struct field stores
 // behind cross-function sinks (a writer computes locals in main and
 // persists them through a helper, so only inter-procedural analysis sees
 // the labels reach the fields), and kernel-style readers that validate

@@ -72,9 +72,7 @@ void mixOptions(CacheKey& key, const taint::AnalysisOptions& options) {
   key.mix("taint-options");
   key.mix(options.inter_procedural);
   key.mix(options.field_bridging);
-  key.mix(options.summaries);
   key.mix(options.compile_ir);
-  key.mix(options.max_global_passes);
   key.mix(static_cast<std::uint64_t>(options.max_trace_steps));
 }
 

@@ -44,7 +44,9 @@ namespace fsdep::corpus {
 /// in a separate subdirectory and age out via LRU of their own tree).
 /// v2: AnalysisOptions::compile_ir joined the key fingerprint (Taint-IR
 /// engine vs legacy AST walk), so v1 trees no longer match any key.
-inline constexpr int kDiskCacheSchemaVersion = 2;
+/// v3: the inter-procedural engine choice (`summaries`) and its pass cap
+/// (`max_global_passes`) left AnalysisOptions and the key fingerprint.
+inline constexpr int kDiskCacheSchemaVersion = 3;
 
 /// Incremental 2x64-bit FNV-1a hasher for cache keys. Two independent
 /// offset bases give a 128-bit identity — enough that distinct requests
@@ -75,7 +77,8 @@ std::uint64_t contentDigest(std::string_view text);
 
 /// Folds every field of the analysis/extract options into the key, so an
 /// --inter result can never be served to an --intra request (and vice
-/// versa for bridging, legacy passes, trace budgets, parser tables, ...).
+/// versa for bridging, the AST-walk oracle, trace budgets, parser tables,
+/// ...).
 void mixOptions(CacheKey& key, const taint::AnalysisOptions& options);
 void mixOptions(CacheKey& key, const extract::ExtractOptions& options);
 

@@ -1,7 +1,6 @@
 #include "taint/analyzer.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -111,9 +110,9 @@ const std::string& Analyzer::traceTextFor(const void* site, const std::string& o
 
 void Analyzer::seedEntryState(const FunctionDecl& fn, TaintState& state) {
   // Seed-to-variable resolution walks the function body; memoize it per
-  // run so fixpoint re-entries (and the summary engine's extra passes)
-  // don't re-walk the AST. Label interning stays here, in first-use
-  // order — LabelId order is semantically visible.
+  // run so fixpoint re-entries (and later worklist rounds) don't re-walk
+  // the AST. Label interning stays here, in first-use order — LabelId
+  // order is semantically visible.
   const auto [memo, inserted] = seed_memo_.try_emplace(&fn);
   if (inserted) {
     for (const Seed& seed : seeds_) {
@@ -128,9 +127,7 @@ void Analyzer::seedEntryState(const FunctionDecl& fn, TaintState& state) {
     sticky_[var].insert(label);
     recordTrace(varNameFor(*var), var->loc, "seed: carries " + seed->param);
   }
-  // In the symbolic phase the parameters carry placeholder labels
-  // instead; concrete caller bindings are folded in afterwards.
-  if (options_.inter_procedural && !summary_mode_) {
+  if (options_.inter_procedural) {
     const auto it = entry_bindings_.find(&fn);
     if (it != entry_bindings_.end()) state.mergeFrom(it->second);
   }
@@ -151,12 +148,8 @@ void Analyzer::run(const std::vector<const FunctionDecl*>& functions) {
   seed_memo_.clear();
   entry_bindings_.clear();
   return_summaries_.clear();
-  sym_ret_.clear();
-  sym_bind_.clear();
-  callees_.clear();
-  summary_mode_ = false;
-  summary_return_sink_ = nullptr;
-  placeholder_base_ = 0;
+  callers_.clear();
+  stale_.clear();
   merge_calls_ = 0;
   merge_grew_ = 0;
   stmt_visits_ = 0;
@@ -186,22 +179,30 @@ void Analyzer::run(const std::vector<const FunctionDecl*>& functions) {
     results_.push_back(std::move(result));
   }
 
-  if (options_.inter_procedural && options_.summaries) {
-    runSummarized();
-    return;
-  }
-
-  const int passes = options_.inter_procedural ? options_.max_global_passes : 1;
-  for (int pass = 0; pass < passes; ++pass) {
-    bindings_changed_ = false;
+  // Round 1 analyzes every function in source order. Each later round
+  // re-analyzes, in source order, only the functions marked stale since
+  // their last analysis: their entry bindings grew, or the return summary
+  // of a callee they call did. Skipping the rest replays nothing — a
+  // function's transfer side effects are idempotent and depend only on
+  // those inputs. Round 1 interns every label, and bindings and
+  // summaries only grow, so the loop ends without a cap. In intra mode
+  // nothing is ever marked, so round 1 is the whole run.
+  for (bool first_round = true; first_round || !stale_.empty(); first_round = false) {
     for (const auto& result : results_) {
+      if (stale_.erase(result->fn) == 0 && !first_round) {
+        ++concrete_skips_;
+        continue;
+      }
       current_fn_ = result->fn;
       current_result_ = result.get();
       analyzeFunction(*result);
     }
-    current_fn_ = nullptr;
-    current_result_ = nullptr;
-    if (!bindings_changed_) break;
+  }
+  current_fn_ = nullptr;
+  current_result_ = nullptr;
+  if (concrete_skips_ > 0) {
+    static obs::Counter& skip_counter = obs::Registry::global().counter("taint.concrete_skips");
+    skip_counter.add(concrete_skips_);
   }
 }
 
@@ -282,235 +283,32 @@ void Analyzer::analyzeFunction(FunctionTaint& result) {
   span.arg("stmts", stmt_visits_ - stmts_before);
 }
 
-void Analyzer::runSummarized() {
-  // Pass 1: concrete, byte-for-byte the legacy engine's first pass. This
-  // freezes the label space — every seed and bridge label is interned in
-  // first-discovery order, which is semantically visible (rendered label
-  // sets ascend by id, and extraction anchors on the smallest id) — and
-  // records the first-discovery traces and write events.
-  bindings_changed_ = false;
-  for (const auto& result : results_) {
-    current_fn_ = result->fn;
-    current_result_ = result.get();
-    analyzeFunction(*result);
-  }
-  current_fn_ = nullptr;
-  current_result_ = nullptr;
-  // Nothing crossed a function boundary: pass 1 is already the fixpoint
-  // (the legacy engine would stop here too).
-  if (!bindings_changed_) return;
-
-  // Bottom-up: one symbolic CFG fixpoint per function, ordered by the
-  // Tarjan condensation of the call graph (emission order is
-  // callee-first), iterating only inside cyclic components. Placeholder
-  // labels occupy ids >= placeholder_base_; because substitution happens
-  // immediately at each call site, only the current function's own
-  // placeholders ever appear in its state, so one shared base serves
-  // every function without collisions.
-  std::uint64_t symbolic_sweeps = 0;
-  std::vector<std::vector<const FunctionDecl*>> sccs;
-  const auto isCyclic = [this](const std::vector<const FunctionDecl*>& scc) {
-    if (scc.size() > 1) return true;
-    const auto& edges = callees_.find(scc.front())->second;
-    return std::find(edges.begin(), edges.end(), scc.front()) != edges.end();
-  };
-  {
-    obs::Span span("taint", "summary_build");
-    placeholder_base_ = static_cast<LabelId>(labels_.size());
-    buildCallGraph();
-    sccs = condenseSccs();
-    summary_mode_ = true;
-    // The span name distinguishes the engines in profile attribution:
-    // scc_ir when sweeps execute compiled Taint-IR, scc_symbolic for the
-    // legacy AST walk.
-    const char* scc_span_name = options_.compile_ir ? "scc_ir" : "scc_symbolic";
-    for (const auto& scc : sccs) {
-      obs::Span scc_span("taint", scc_span_name);
-      scc_span.arg("function", scc.front()->name);
-      const bool cyclic = isCyclic(scc);
-      int guard = 0;
-      const std::uint64_t sweeps_before = symbolic_sweeps;
-      do {
-        summary_changed_ = false;
-        for (const FunctionDecl* fn : scc) {
-          current_fn_ = fn;
-          current_result_ = by_fn_.find(fn)->second;
-          summary_return_sink_ = &sym_ret_[fn];
-          analyzeFunctionSymbolic(*current_result_);
-          ++symbolic_sweeps;
-        }
-      } while (cyclic && summary_changed_ && ++guard < 64);
-      scc_span.arg("functions", static_cast<std::uint64_t>(scc.size()));
-      scc_span.arg("sweeps", symbolic_sweeps - sweeps_before);
-    }
-    summary_mode_ = false;
-    summary_return_sink_ = nullptr;
-    current_fn_ = nullptr;
-    current_result_ = nullptr;
-    span.arg("functions", static_cast<std::uint64_t>(results_.size()));
-    span.arg("sccs", static_cast<std::uint64_t>(sccs.size()));
-    span.arg("symbolic_sweeps", symbolic_sweeps);
-  }
-  static obs::Counter& scc_counter = obs::Registry::global().counter("taint.summary.sccs");
-  scc_counter.add(sccs.size());
-  static obs::Counter& sweep_counter =
-      obs::Registry::global().counter("taint.summary.symbolic_sweeps");
-  sweep_counter.add(symbolic_sweeps);
-
-  // Top-down: resolve the symbolic per-callsite bindings into concrete
-  // entry labels E, caller-first (the reverse of the emission order), so
-  // every caller's own entry labels are final before it pushes them on.
-  std::map<const VarDecl*, LabelSet> entry_labels;
-  const auto resolve = [&](const LabelSet& sym, const FunctionDecl* fn) {
-    LabelSet out;
-    for (const LabelId id : sym) {
-      if (id < placeholder_base_) {
-        out.insert(id);
-      } else {
-        const std::size_t idx = id - placeholder_base_;
-        if (idx >= fn->params.size()) continue;
-        const auto it = entry_labels.find(fn->params[idx].get());
-        if (it != entry_labels.end()) unionInto(out, it->second);
-      }
-    }
-    return out;
-  };
-  const auto pushBindings = [&](const FunctionDecl* fn) {
-    bool changed = false;
-    const auto it = sym_bind_.find(fn);
-    if (it == sym_bind_.end()) return changed;
-    for (const auto& [param, sym] : it->second) {
-      changed |= unionInto(entry_labels[param], resolve(sym, fn));
-    }
-    return changed;
-  };
-  for (auto scc = sccs.rbegin(); scc != sccs.rend(); ++scc) {
-    const bool cyclic = isCyclic(*scc);
-    int guard = 0;
-    bool changed;
-    do {
-      changed = false;
-      for (const FunctionDecl* fn : *scc) changed |= pushBindings(fn);
-    } while (cyclic && changed && ++guard < 64);
-  }
-
-  // Instantiate the fixpoint summaries and entry bindings the final
-  // concrete pass will consume.
-  for (const auto& result : results_) {
-    const FunctionDecl* fn = result->fn;
-    if (const auto it = sym_ret_.find(fn); it != sym_ret_.end() && !it->second.empty()) {
-      LabelSet resolved = resolve(it->second, fn);
-      if (!resolved.empty()) unionInto(return_summaries_[fn], resolved);
-    }
-    for (const auto& p : fn->params) {
-      const auto e = entry_labels.find(p.get());
-      if (e == entry_labels.end() || e->second.empty()) continue;
-      unionInto(entry_bindings_[fn].vars[p.get()], e->second);
-    }
-  }
-
-  // One final concrete pass with the fixpoint bindings and summaries in
-  // place — the legacy engine's passes 2..N collapsed into one. At the
-  // fixpoint nothing can grow; the residual counter flags a violation of
-  // that invariant (it should stay 0).
-  obs::Span apply_span("taint", "summary_apply");
-  bindings_changed_ = false;
-  for (const auto& result : results_) {
-    // Functions whose entry bindings resolved empty and whose callees
-    // summarize to nothing would replay pass 1 verbatim — their pass-1
-    // states, traces, and events already stand (ROADMAP item 4's second
-    // path; equivalence is test-enforced against the no-skip oracle).
-    if (canSkipFinalPass(result->fn)) {
-      ++concrete_skips_;
-      continue;
-    }
-    current_fn_ = result->fn;
-    current_result_ = result.get();
-    analyzeFunction(*result);
-  }
-  current_fn_ = nullptr;
-  current_result_ = nullptr;
-  if (concrete_skips_ > 0) {
-    static obs::Counter& skip_counter =
-        obs::Registry::global().counter("taint.concrete_skips");
-    skip_counter.add(concrete_skips_);
-  }
-  apply_span.arg("skipped", concrete_skips_);
-  if (bindings_changed_) {
-    static obs::Counter& residual =
-        obs::Registry::global().counter("taint.summary.residual_growth");
-    residual.add(1);
-  }
-}
-
-void Analyzer::analyzeFunctionSymbolic(FunctionTaint& result) {
-  const cfg::Cfg& cfg = *result.cfg;
-  std::vector<TaintState> block_entry(cfg.size());
-  TaintState entry;
-  seedEntryState(*result.fn, entry);  // seeds only; bindings are skipped in summary mode
-  const auto& params = result.fn->params;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    entry.vars[params[i].get()].insert(placeholder_base_ + static_cast<LabelId>(i));
-  }
-  block_entry[cfg.entry()] = std::move(entry);
-
-  const std::vector<cfg::BlockId>& order = result.rpo;
-  // Same dirty-block scheme as the concrete fixpoint (symbolic sweeps
-  // have no side effects at all, so skipping converged blocks is purely
-  // a speedup).
-  std::vector<char> dirty(cfg.size(), 1);
-  bool changed = true;
-  int iterations = 0;
-  while (changed && iterations++ < 64) {
-    changed = false;
-    for (const cfg::BlockId id : order) {
-      if (dirty[id] == 0) continue;
-      dirty[id] = 0;
-      const cfg::BasicBlock& block = cfg.block(id);
-      TaintState state = block_entry[id];
-      if (result.code != nullptr) {
-        // No at_condition snapshot in symbolic sweeps.
-        execBlock(result.code->program, id, state, nullptr);
-      } else {
-        for (const Stmt* s : block.stmts) transferStmt(*s, state);
-        if (block.inc_expr != nullptr) evalExpr(*block.inc_expr, state, /*effects=*/true);
-        if (block.condition != nullptr) evalExpr(*block.condition, state, /*effects=*/true);
-      }
-      for (const cfg::Edge& e : block.successors) {
-        const bool grew = block_entry[e.target].mergeFrom(state);
-        ++merge_calls_;
-        merge_grew_ += grew ? 1 : 0;
-        if (grew) {
-          dirty[e.target] = 1;
-          changed = true;
-        }
-      }
-    }
-  }
-}
-
 ir::IrCache& Analyzer::irCache() {
   if (ir_cache_ == nullptr) ir_cache_ = std::make_shared<ir::IrCache>();
   return *ir_cache_;
 }
 
-bool Analyzer::canSkipFinalPass(const FunctionDecl* fn) const {
-  // Both inputs the final pass adds over pass 1 grow monotonically, so
-  // observing them empty at the fixpoint means they were empty while
-  // pass 1 ran too — the replay could not differ. Emptiness (not key
-  // presence) is the test: operator[] plants empty-set entries.
-  if (const auto bound = entry_bindings_.find(fn); bound != entry_bindings_.end()) {
-    for (const auto& [var, labels] : bound->second.vars) {
-      if (!labels.empty()) return false;
-    }
+void Analyzer::bindArgument(const FunctionDecl* callee, std::size_t index,
+                            const LabelSet& labels) {
+  if (unionInto(entry_bindings_[callee].vars[callee->params[index].get()], labels) &&
+      by_fn_.contains(callee)) {
+    stale_.insert(callee);
   }
-  if (const auto edges = callees_.find(fn); edges != callees_.end()) {
-    for (const FunctionDecl* callee : edges->second) {
-      const auto summary = return_summaries_.find(callee);
-      if (summary != return_summaries_.end() && !summary->second.empty()) return false;
-    }
+}
+
+const LabelSet* Analyzer::returnSummary(const FunctionDecl* callee) {
+  // labelsOf() evaluates calls after the run, outside any function.
+  if (current_fn_ != nullptr) callers_[callee].insert(current_fn_);
+  const auto it = return_summaries_.find(callee);
+  return it != return_summaries_.end() ? &it->second : nullptr;
+}
+
+void Analyzer::recordReturn(const LabelSet& labels) {
+  unionInto(current_result_->return_labels, labels);
+  if (options_.inter_procedural && unionInto(return_summaries_[current_fn_], labels)) {
+    const auto it = callers_.find(current_fn_);
+    if (it != callers_.end()) stale_.insert(it->second.begin(), it->second.end());
   }
-  return true;
 }
 
 void Analyzer::execBlock(const ir::Program& prog, cfg::BlockId id, TaintState& state,
@@ -581,7 +379,7 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
         }
         if (!merged.empty()) {
           const std::string& object = varNameFor(*in.var);
-          if (!summary_mode_ && trace_done_.insert(in.site).second) {
+          if (trace_done_.insert(in.site).second) {
             recordTrace(object, in.loc, traceTextFor(in.site, object, in.rhs, "<call out-param>"));
           }
           recordWrite(*in.write_key, object, /*is_field=*/false, "", merged, in.rhs, in.loc,
@@ -600,10 +398,10 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
         const FieldKeyId id = fieldIdFor(m);
         // Fields are object-insensitive: always a weak update.
         unionInto(state.fields[id], labels);
-        if (!summary_mode_) unionInto(field_writes_[id], labels);
+        unionInto(field_writes_[id], labels);
         if (!labels.empty()) {
           const std::string& key = field_keys_.key(id);
-          if (!summary_mode_ && trace_done_.insert(in.site).second) {
+          if (trace_done_.insert(in.site).second) {
             recordTrace(key, in.loc, traceTextFor(in.site, key, in.rhs, "<expr>"));
           }
           recordWrite(*in.write_key, key, /*is_field=*/true, key, labels, in.rhs, in.loc, in.aop);
@@ -619,7 +417,7 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
         if (!labels.empty()) {
           state.vars[in.var] = labels;
           const std::string& object = varNameFor(*in.var);
-          if (!summary_mode_ && trace_done_.insert(in.site).second) {
+          if (trace_done_.insert(in.site).second) {
             recordTrace(object, in.loc, traceTextFor(in.site, object, in.rhs, ""));
           }
           recordWrite(*in.write_key, object, /*is_field=*/false, "", labels, in.rhs, in.loc,
@@ -640,213 +438,24 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
         }
         const FunctionDecl* callee = spec.callee;
         if (options_.inter_procedural && callee != nullptr) {
-          if (summary_mode_) {
-            if (by_fn_.find(callee) != by_fn_.end()) {
-              if (spec.effects) {
-                auto& binds = sym_bind_[current_fn_];
-                for (std::size_t i = 0; i < nargs && i < callee->params.size(); ++i) {
-                  if (args[i] != ir::kNoTemp && !temps[args[i]].empty()) {
-                    unionInto(binds[callee->params[i].get()], temps[args[i]]);
-                  }
-                }
-              }
-              if (const auto it = sym_ret_.find(callee); it != sym_ret_.end()) {
-                // instantiateSummary, reading per-arg sets straight from
-                // the temp pool (kNoTemp holes are empty sets).
-                for (const LabelId label : it->second) {
-                  if (label < placeholder_base_) {
-                    result.insert(label);
-                  } else {
-                    const std::size_t idx = label - placeholder_base_;
-                    if (idx < nargs && args[idx] != ir::kNoTemp) {
-                      unionInto(result, temps[args[idx]]);
-                    }
-                  }
-                }
+          if (spec.effects) {
+            for (std::size_t i = 0; i < nargs && i < callee->params.size(); ++i) {
+              if (args[i] != ir::kNoTemp && !temps[args[i]].empty()) {
+                bindArgument(callee, i, temps[args[i]]);
               }
             }
-          } else {
-            if (spec.effects) {
-              TaintState& binding = entry_bindings_[callee];
-              for (std::size_t i = 0; i < nargs && i < callee->params.size(); ++i) {
-                if (args[i] != ir::kNoTemp && !temps[args[i]].empty()) {
-                  if (unionInto(binding.vars[callee->params[i].get()], temps[args[i]])) {
-                    bindings_changed_ = true;
-                  }
-                }
-              }
-            }
-            const auto summary = return_summaries_.find(callee);
-            if (summary != return_summaries_.end()) unionInto(result, summary->second);
           }
+          if (const LabelSet* summary = returnSummary(callee)) unionInto(result, *summary);
         }
         temps[in.dst] = std::move(result);
         break;
       }
 
-      case ir::Op::Return: {
-        const LabelSet& labels = temps[in.a];
-        if (summary_mode_) {
-          if (summary_return_sink_ != nullptr && unionInto(*summary_return_sink_, labels)) {
-            summary_changed_ = true;
-          }
-        } else if (current_result_ != nullptr) {
-          unionInto(current_result_->return_labels, labels);
-          if (options_.inter_procedural) {
-            LabelSet& summary = return_summaries_[current_fn_];
-            if (unionInto(summary, labels)) bindings_changed_ = true;
-          }
-        }
+      case ir::Op::Return:
+        if (current_result_ != nullptr) recordReturn(temps[in.a]);
         break;
-      }
     }
   }
-}
-
-void Analyzer::buildCallGraph() {
-  callees_.clear();
-  for (const auto& result : results_) {
-    std::vector<const FunctionDecl*>& out = callees_[result->fn];
-    auto walkExpr = [&](auto&& self, const Expr& e) -> void {
-      switch (e.kind()) {
-        case ExprKind::Unary: self(self, *static_cast<const UnaryExpr&>(e).operand); break;
-        case ExprKind::Binary: {
-          const auto& b = static_cast<const BinaryExpr&>(e);
-          self(self, *b.lhs);
-          self(self, *b.rhs);
-          break;
-        }
-        case ExprKind::Conditional: {
-          const auto& c = static_cast<const ConditionalExpr&>(e);
-          self(self, *c.cond);
-          self(self, *c.then_expr);
-          self(self, *c.else_expr);
-          break;
-        }
-        case ExprKind::Call: {
-          const auto& call = static_cast<const CallExpr&>(e);
-          for (const ExprPtr& a : call.args) self(self, *a);
-          const FunctionDecl* callee = call.callee_decl;
-          if (callee != nullptr && by_fn_.find(callee) != by_fn_.end() &&
-              std::find(out.begin(), out.end(), callee) == out.end()) {
-            out.push_back(callee);
-          }
-          break;
-        }
-        case ExprKind::Member: self(self, *static_cast<const MemberExpr&>(e).base); break;
-        case ExprKind::Index: {
-          const auto& i = static_cast<const IndexExpr&>(e);
-          self(self, *i.base);
-          self(self, *i.index);
-          break;
-        }
-        case ExprKind::Cast: self(self, *static_cast<const CastExpr&>(e).operand); break;
-        case ExprKind::InitList:
-          for (const ExprPtr& el : static_cast<const InitListExpr&>(e).elements) self(self, *el);
-          break;
-        default:
-          break;
-      }
-    };
-    // The CFG already flattened control flow, so blocks hold only leaf
-    // statements plus the branch condition / loop increment expressions —
-    // exactly the expressions the transfer functions evaluate.
-    const cfg::Cfg& cfg = *result->cfg;
-    for (std::size_t id = 0; id < cfg.size(); ++id) {
-      const cfg::BasicBlock& block = cfg.block(static_cast<cfg::BlockId>(id));
-      for (const Stmt* s : block.stmts) {
-        switch (s->kind()) {
-          case StmtKind::Decl:
-            for (const auto& var : static_cast<const DeclStmt&>(*s).vars) {
-              if (var->init != nullptr) walkExpr(walkExpr, *var->init);
-            }
-            break;
-          case StmtKind::Expr: walkExpr(walkExpr, *static_cast<const ExprStmt&>(*s).expr); break;
-          case StmtKind::Return: {
-            const auto& ret = static_cast<const ReturnStmt&>(*s);
-            if (ret.value != nullptr) walkExpr(walkExpr, *ret.value);
-            break;
-          }
-          default:
-            break;
-        }
-      }
-      if (block.inc_expr != nullptr) walkExpr(walkExpr, *block.inc_expr);
-      if (block.condition != nullptr) walkExpr(walkExpr, *block.condition);
-    }
-  }
-}
-
-std::vector<std::vector<const FunctionDecl*>> Analyzer::condenseSccs() const {
-  // Iterative Tarjan over the analyzed-function call graph. Roots are
-  // visited in results_ order and edges in first-encounter order, so the
-  // emission (callee-first) order is deterministic.
-  std::vector<std::vector<const FunctionDecl*>> sccs;
-  std::map<const FunctionDecl*, std::uint32_t> index;
-  std::map<const FunctionDecl*, std::uint32_t> lowlink;
-  std::map<const FunctionDecl*, bool> on_stack;
-  std::vector<const FunctionDecl*> stack;
-  std::uint32_t next = 0;
-
-  struct Frame {
-    const FunctionDecl* fn;
-    std::size_t edge;
-  };
-  for (const auto& root_result : results_) {
-    const FunctionDecl* root = root_result->fn;
-    if (index.find(root) != index.end()) continue;
-    std::vector<Frame> frames{{root, 0}};
-    index[root] = lowlink[root] = next++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    while (!frames.empty()) {
-      Frame& frame = frames.back();
-      const std::vector<const FunctionDecl*>& edges = callees_.find(frame.fn)->second;
-      if (frame.edge < edges.size()) {
-        const FunctionDecl* g = edges[frame.edge++];
-        if (index.find(g) == index.end()) {
-          index[g] = lowlink[g] = next++;
-          stack.push_back(g);
-          on_stack[g] = true;
-          frames.push_back(Frame{g, 0});
-        } else if (on_stack[g] && index[g] < lowlink[frame.fn]) {
-          lowlink[frame.fn] = index[g];
-        }
-        continue;
-      }
-      const FunctionDecl* fn = frame.fn;
-      frames.pop_back();
-      if (!frames.empty() && lowlink[fn] < lowlink[frames.back().fn]) {
-        lowlink[frames.back().fn] = lowlink[fn];
-      }
-      if (lowlink[fn] == index[fn]) {
-        std::vector<const FunctionDecl*> scc;
-        while (true) {
-          const FunctionDecl* g = stack.back();
-          stack.pop_back();
-          on_stack[g] = false;
-          scc.push_back(g);
-          if (g == fn) break;
-        }
-        sccs.push_back(std::move(scc));
-      }
-    }
-  }
-  return sccs;
-}
-
-LabelSet Analyzer::instantiateSummary(const LabelSet& summary,
-                                      const std::vector<LabelSet>& subst) const {
-  LabelSet out;
-  for (const LabelId id : summary) {
-    if (id < placeholder_base_) {
-      out.insert(id);
-    } else {
-      const std::size_t idx = id - placeholder_base_;
-      if (idx < subst.size()) unionInto(out, subst[idx]);
-    }
-  }
-  return out;
 }
 
 void Analyzer::transferStmt(const Stmt& stmt, TaintState& state) {
@@ -862,7 +471,7 @@ void Analyzer::transferStmt(const Stmt& stmt, TaintState& state) {
         if (!labels.empty()) {
           state.vars[var.get()] = labels;
           const std::string& object = varNameFor(*var);
-          if (!summary_mode_ && trace_done_.insert(var.get()).second) {
+          if (trace_done_.insert(var.get()).second) {
             recordTrace(object, var->loc, traceTextFor(var.get(), object, var->init.get(), ""));
           }
           recordWrite(*var->init, object, /*is_field=*/false, "", labels, var->init.get(),
@@ -879,18 +488,7 @@ void Analyzer::transferStmt(const Stmt& stmt, TaintState& state) {
     case StmtKind::Return: {
       const auto& ret = static_cast<const ReturnStmt&>(stmt);
       if (ret.value != nullptr && current_result_ != nullptr) {
-        LabelSet labels = evalExpr(*ret.value, state, /*effects=*/true);
-        if (summary_mode_) {
-          if (summary_return_sink_ != nullptr && unionInto(*summary_return_sink_, labels)) {
-            summary_changed_ = true;
-          }
-        } else {
-          unionInto(current_result_->return_labels, labels);
-          if (options_.inter_procedural) {
-            LabelSet& summary = return_summaries_[current_fn_];
-            if (unionInto(summary, labels)) bindings_changed_ = true;
-          }
-        }
+        recordReturn(evalExpr(*ret.value, state, /*effects=*/true));
       }
       break;
     }
@@ -989,38 +587,12 @@ LabelSet Analyzer::evalExpr(const Expr& expr, TaintState& state, bool effects) {
       if (options_.inter_procedural && call.callee_decl != nullptr &&
           call.callee_decl->isDefinition()) {
         const FunctionDecl* callee = call.callee_decl;
-        if (summary_mode_) {
-          // Symbolic phase: record the argument label sets flowing into
-          // the callee's parameters (resolved to concrete entry bindings
-          // later) and apply the callee's symbolic return summary with
-          // its placeholders substituted by this call's arguments.
-          if (by_fn_.find(callee) == by_fn_.end()) return arg_labels;
-          if (effects) {
-            auto& binds = sym_bind_[current_fn_];
-            for (std::size_t i = 0; i < call.args.size() && i < callee->params.size(); ++i) {
-              if (!per_arg[i].empty()) unionInto(binds[callee->params[i].get()], per_arg[i]);
-            }
-          }
-          LabelSet labels = std::move(arg_labels);
-          if (const auto it = sym_ret_.find(callee); it != sym_ret_.end()) {
-            unionInto(labels, instantiateSummary(it->second, per_arg));
-          }
-          return labels;
-        }
         if (effects) {
-          TaintState& binding = entry_bindings_[callee];
           for (std::size_t i = 0; i < call.args.size() && i < callee->params.size(); ++i) {
-            if (!per_arg[i].empty()) {
-              if (unionInto(binding.vars[callee->params[i].get()], per_arg[i])) {
-                bindings_changed_ = true;
-              }
-            }
+            if (!per_arg[i].empty()) bindArgument(callee, i, per_arg[i]);
           }
         }
-        LabelSet labels = arg_labels;
-        const auto summary = return_summaries_.find(callee);
-        if (summary != return_summaries_.end()) unionInto(labels, summary->second);
-        return labels;
+        if (const LabelSet* summary = returnSummary(callee)) unionInto(arg_labels, *summary);
       }
       return arg_labels;
     }
@@ -1074,7 +646,7 @@ void Analyzer::assignTo(const Expr& lhs, const Expr* rhs, const LabelSet& labels
       }
       if (!merged.empty()) {
         const std::string& object = varNameFor(*ref.decl);
-        if (!summary_mode_ && trace_done_.insert(&lhs).second) {
+        if (trace_done_.insert(&lhs).second) {
           recordTrace(object, loc, traceTextFor(&lhs, object, rhs, "<call out-param>"));
         }
         recordWrite(lhs, object, /*is_field=*/false, "", merged, rhs, loc, op);
@@ -1087,10 +659,10 @@ void Analyzer::assignTo(const Expr& lhs, const Expr* rhs, const LabelSet& labels
       const FieldKeyId id = fieldIdFor(m);
       // Fields are object-insensitive: always a weak update.
       unionInto(state.fields[id], labels);
-      if (!summary_mode_) unionInto(field_writes_[id], labels);
+      unionInto(field_writes_[id], labels);
       if (!labels.empty()) {
         const std::string& key = field_keys_.key(id);
-        if (!summary_mode_ && trace_done_.insert(&lhs).second) {
+        if (trace_done_.insert(&lhs).second) {
           recordTrace(key, loc, traceTextFor(&lhs, key, rhs, "<expr>"));
         }
         recordWrite(lhs, key, /*is_field=*/true, key, labels, rhs, loc, op);
@@ -1118,7 +690,6 @@ void Analyzer::assignTo(const Expr& lhs, const Expr* rhs, const LabelSet& labels
 }
 
 void Analyzer::recordTrace(const std::string& object, SourceLoc loc, const std::string& text) {
-  if (summary_mode_) return;  // symbolic sweeps observe no traces
   std::vector<TraceStep>& trace = traces_[object];
   if (trace.size() >= options_.max_trace_steps) return;
   // Skip exact duplicates produced by fixpoint re-iteration.
@@ -1131,7 +702,6 @@ void Analyzer::recordTrace(const std::string& object, SourceLoc loc, const std::
 void Analyzer::recordWrite(const Expr& assign, const std::string& object, bool is_field,
                            const std::string& field_key, const LabelSet& labels, const Expr* rhs,
                            SourceLoc loc, BinaryOp op) {
-  if (summary_mode_) return;  // symbolic label sets are not write events
   WriteEvent& event = writes_[&assign];
   if (event.assign == nullptr) {
     event.fn = current_fn_;

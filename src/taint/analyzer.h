@@ -15,22 +15,19 @@
 // Two modes:
 //   * intra-procedural (the paper's prototype): calls are opaque; their
 //     result carries the union of argument labels.
-//   * inter-procedural (the paper's §6 future work, now the scalable
-//     default): argument labels bind to callee parameters and return
-//     labels flow back. The fixpoint is computed on SCC-ordered
-//     call-graph function summaries — each function is analyzed once
-//     symbolically (its parameters carry placeholder labels), the
-//     resulting (param -> returns/bindings) transfer summaries are
-//     resolved bottom-up over the Tarjan SCC condensation (iterating
-//     only inside cycles), entry bindings are propagated top-down, and
-//     one final concrete pass produces the per-function states. A
-//     legacy whole-program re-analysis (`max_global_passes`) is kept
-//     behind AnalysisOptions::summaries=false for equivalence testing.
+//   * inter-procedural (the paper's §6 future work): argument labels bind
+//     to callee parameters (entry bindings) and return labels flow back
+//     (return summaries). run() drives the per-function fixpoints as a
+//     worklist: round 1 analyzes every function in source order; each
+//     later round re-analyzes, in source order, only the functions whose
+//     entry bindings or callees' return summaries grew since their last
+//     analysis. The loop stops when no function is stale — no pass cap.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -49,17 +46,12 @@ struct AnalysisOptions {
   /// When false, reading a metadata field does not produce the field's
   /// bridge label; CCD extraction then finds nothing (ablation knob).
   bool field_bridging = true;
-  /// Inter-procedural engine: SCC-ordered function summaries (true, the
-  /// default) or the legacy whole-program re-analysis capped at
-  /// `max_global_passes` (false; kept as the equivalence-test oracle).
-  bool summaries = true;
   /// Execute transfer functions as compiled Taint-IR: each function's
   /// CFG blocks are lowered once into a flat instruction stream (see
   /// taint/ir.h) and every fixpoint visit runs the stream instead of
   /// re-walking AST statements. The AST walk stays available as the
   /// byte-equivalence oracle behind --legacy-walk (false).
   bool compile_ir = true;
-  int max_global_passes = 10;
   std::size_t max_trace_steps = 24;
 
   bool operator==(const AnalysisOptions& other) const = default;
@@ -102,8 +94,8 @@ struct FunctionTaint {
   /// Compiled Taint-IR of this function; null in legacy-walk mode.
   std::shared_ptr<const ir::CompiledFunction> code;
   /// Reverse post-order of `cfg`, computed once per run and shared by
-  /// every fixpoint over this function (concrete passes, symbolic
-  /// sweeps, exit replay).
+  /// every fixpoint over this function (one per worklist round that
+  /// analyzes it) and the exit replay.
   std::vector<cfg::BlockId> rpo;
   /// Entry state of each basic block after the fixpoint (indexed by id).
   std::vector<TaintState> block_entry;
@@ -171,9 +163,9 @@ class Analyzer {
   [[nodiscard]] std::uint64_t irInstrs() const { return ir_instrs_; }
   [[nodiscard]] std::uint64_t irVisits() const { return ir_visits_; }
 
-  /// Functions whose final concrete pass was skipped because their
-  /// top-down entry bindings resolved empty and no callee summary could
-  /// feed them labels (summary engine only).
+  /// Function analyses the inter-procedural worklist skipped in rounds
+  /// >= 2 because neither the function's entry bindings nor its callees'
+  /// return summaries grew since its last analysis.
   [[nodiscard]] std::uint64_t concreteSkips() const { return concrete_skips_; }
 
   /// Shares a compilation memo across analyzers of the same TU (wired
@@ -187,23 +179,15 @@ class Analyzer {
  private:
   void seedEntryState(const ast::FunctionDecl& fn, TaintState& state);
   void analyzeFunction(FunctionTaint& result);
-  /// Summary engine (options_.summaries): one concrete pre-pass, then
-  /// bottom-up symbolic summaries over the SCC condensation, top-down
-  /// entry-binding propagation, and one final concrete pass.
-  void runSummarized();
-  /// Symbolic CFG fixpoint of one function: parameters carry placeholder
-  /// labels (placeholder_base_ + index); return labels land in sym_ret_,
-  /// per-callsite argument labels in sym_bind_. No traces/writes.
-  void analyzeFunctionSymbolic(FunctionTaint& result);
-  /// Call graph among analyzed functions (deterministic first-encounter
-  /// edge order) and its Tarjan condensation, emitted callee-first.
-  void buildCallGraph();
-  [[nodiscard]] std::vector<std::vector<const ast::FunctionDecl*>> condenseSccs() const;
-  /// Replaces placeholder labels (>= placeholder_base_) of `fn`'s
-  /// summary with the per-index sets from `subst`; concrete labels pass
-  /// through.
-  [[nodiscard]] LabelSet instantiateSummary(const LabelSet& summary,
-                                            const std::vector<LabelSet>& subst) const;
+  /// Inter-procedural call bookkeeping shared by both executors: an
+  /// argument binding that grows re-queues the callee, and reading a
+  /// callee's return summary registers the current function as a caller
+  /// to re-queue when that summary grows.
+  void bindArgument(const ast::FunctionDecl* callee, std::size_t index, const LabelSet& labels);
+  [[nodiscard]] const LabelSet* returnSummary(const ast::FunctionDecl* callee);
+  /// Return-value sink: the current function's return labels and, in
+  /// inter mode, its return summary.
+  void recordReturn(const LabelSet& labels);
   /// Executes one instruction range of a compiled function against
   /// `state` — the IR twin of transferStmt/evalExpr, sharing the same
   /// recording helpers so all side effects stay byte-identical.
@@ -213,10 +197,6 @@ class Analyzer {
   /// `snapshot`) the at_condition snapshot before the condition range.
   void execBlock(const ir::Program& prog, cfg::BlockId id, TaintState& state,
                  std::vector<TaintState>* at_condition);
-  /// True when fn's final concrete pass would replay its first pass
-  /// verbatim: entry bindings resolved empty and every callee summary is
-  /// empty (both grow monotonically, so final-empty means always-empty).
-  [[nodiscard]] bool canSkipFinalPass(const ast::FunctionDecl* fn) const;
   [[nodiscard]] ir::IrCache& irCache();
   void transferStmt(const ast::Stmt& stmt, TaintState& state);
   LabelSet evalExpr(const ast::Expr& expr, TaintState& state, bool effects);
@@ -278,22 +258,13 @@ class Analyzer {
 
   std::map<const ast::VarDecl*, LabelSet> sticky_;
 
-  // Inter-procedural machinery (both engines).
+  // Inter-procedural worklist state.
   std::map<const ast::FunctionDecl*, TaintState> entry_bindings_;
   std::map<const ast::FunctionDecl*, LabelSet> return_summaries_;
-  bool bindings_changed_ = false;
-
-  // Summary engine (options_.summaries): placeholder labels occupy ids
-  // >= placeholder_base_, which is frozen after the concrete pre-pass —
-  // by then every concrete label (seeds, field bridges) is interned, so
-  // the two id spaces cannot collide.
-  bool summary_mode_ = false;
-  LabelId placeholder_base_ = 0;
-  LabelSet* summary_return_sink_ = nullptr;
-  bool summary_changed_ = false;
-  std::map<const ast::FunctionDecl*, LabelSet> sym_ret_;
-  std::map<const ast::FunctionDecl*, std::map<const ast::VarDecl*, LabelSet>> sym_bind_;
-  std::map<const ast::FunctionDecl*, std::vector<const ast::FunctionDecl*>> callees_;
+  /// callee -> functions that read its return summary.
+  std::map<const ast::FunctionDecl*, std::set<const ast::FunctionDecl*>> callers_;
+  /// Analyzed functions whose inputs grew since their last analysis.
+  std::set<const ast::FunctionDecl*> stale_;
 
   std::uint64_t merge_calls_ = 0;
   std::uint64_t merge_grew_ = 0;

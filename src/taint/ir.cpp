@@ -244,9 +244,9 @@ class Lowerer {
         (call.callee_decl != nullptr && call.callee_decl->isDefinition())
             ? call.callee_decl
             : nullptr;
-    // Arg values feed out-param stores, callee bindings, and summary
-    // substitution even when the call result itself is discarded.
-    const bool want_args = want || effects || callee != nullptr;
+    // Arg values feed out-param stores and callee bindings even when
+    // the call result itself is discarded.
+    const bool want_args = want || effects;
     std::vector<TempId> arg_temps;
     arg_temps.reserve(call.args.size());
     for (const auto& arg : call.args) {

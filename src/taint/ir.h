@@ -47,7 +47,7 @@ enum class Op : std::uint8_t {
   /// Declaration with initializer (strong update + sticky seed merge).
   DeclInit,
   /// Call: unions arg labels, records callee entry bindings, applies
-  /// return summaries (concrete) or instantiates the symbolic summary.
+  /// the callee's return summary.
   Call,
   /// Return value sink: function return labels / summary accumulation.
   Return,

@@ -52,7 +52,6 @@ taint::AnalysisOptions taintOptionsFromRequest(const json::Object& request) {
   topts.inter_procedural = envInterDefault();
   if (boolField(request, "inter", false)) topts.inter_procedural = true;
   if (boolField(request, "intra", false)) topts.inter_procedural = false;
-  if (boolField(request, "legacy_passes", false)) topts.summaries = false;
   if (boolField(request, "legacy_walk", false)) topts.compile_ir = false;
   return topts;
 }
@@ -268,8 +267,8 @@ void ServeDaemon::dispatch(const std::string& type, const json::Value& request_v
   // Analysis requests are memoized on their canonical option string:
   // the warm path is one map lookup — no parse, no pipeline, no disk.
   std::string memo_key = type;
-  for (const char* key : {"scenario", "param", "inter", "intra", "legacy_passes",
-                          "legacy_walk", "no_bridging", "json", "self_deps"}) {
+  for (const char* key : {"scenario", "param", "inter", "intra", "legacy_walk", "no_bridging",
+                          "json", "self_deps"}) {
     const json::Value* value = request.find(key);
     memo_key.push_back('\x1f');
     if (value == nullptr) continue;

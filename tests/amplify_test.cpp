@@ -135,29 +135,5 @@ TEST(Amplify, InterProceduralSeesCrossFunctionSinks) {
   EXPECT_GT(extractWith(inter), extractWith(taint::AnalysisOptions{}));
 }
 
-TEST(Amplify, SummaryAndLegacyEnginesAgreeOnAmplifiedCorpus) {
-  const std::vector<std::string> names = amplifyCorpus({.factor = 1, .seed = 42});
-  taint::AnalysisOptions summary;
-  summary.inter_procedural = true;
-  taint::AnalysisOptions legacy = summary;
-  legacy.summaries = false;
-
-  for (const std::string& name : names) {
-    AnalyzedComponent a(name, summary);
-    a.analyze({});
-    AnalyzedComponent b(name, legacy);
-    b.analyze({});
-    const auto a_events = a.analyzer().writeEvents();
-    const auto b_events = b.analyzer().writeEvents();
-    ASSERT_EQ(a_events.size(), b_events.size()) << name;
-    for (std::size_t i = 0; i < a_events.size(); ++i) {
-      EXPECT_EQ(a_events[i]->object, b_events[i]->object) << name;
-      EXPECT_EQ(taint::labelSetToString(a.analyzer().labels(), a_events[i]->labels),
-                taint::labelSetToString(b.analyzer().labels(), b_events[i]->labels))
-          << name;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace fsdep::corpus

@@ -3,7 +3,8 @@
 // stdout, in both taint engine modes. Timing lines vary run to run, so
 // the comparison strips them; everything else (counts, dependency
 // totals, engine name) must match byte for byte. The profile must split
-// extraction into its phases, and --stats must see the extraction time.
+// extraction into its phases, and --stats must see the extraction time
+// and the worker count.
 // check_sanitize.sh also runs this binary under TSan — the amplified run
 // is the most thread-hostile workload the obs layer sees.
 #include <gtest/gtest.h>
@@ -108,6 +109,11 @@ TEST_P(CliObsAmplify, StatsReportExtractionTime) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, CliObsAmplify, ::testing::Values("--inter", "--intra"));
+
+TEST(CliObsAmplifyStats, ReportsTheWorkerCount) {
+  const std::string stats = runCli("amplify --factor 5 --seed 42 --jobs 4 --stats", "stderr");
+  EXPECT_NE(stats.find("pipeline stats: jobs=4\n"), std::string::npos) << stats;
+}
 
 }  // namespace
 }  // namespace fsdep

@@ -3,6 +3,7 @@
 // / --report produce valid JSON files, instrumentation never perturbs
 // stdout, and --stats keeps stdout machine-parseable.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -269,6 +270,39 @@ TEST(CliObs, DiskCacheCountersAppearInMetricsAndStdoutStaysIdentical) {
   }
   EXPECT_GT(disk_hits, 0u) << "warm run must hit the disk cache";
   std::system(("rm -rf " + cache_dir).c_str());
+}
+
+TEST(CliObs, UnknownArgumentsFailLoudly) {
+  // A misspelled flag used to be ignored (extract --scenaro s1 analyzed
+  // every scenario), and a removed one would be dropped silently. Each
+  // must exit 2 before printing anything, naming the argument.
+  struct Case {
+    const char* args;
+    const char* unknown;
+  };
+  const std::string err_path = tempPath("cli_obs_unknown_arg.txt");
+  for (const Case& c : {Case{"extract --scenaro s1", "--scenaro"},
+                        Case{"extract --legacy-passes", "--legacy-passes"},
+                        Case{"table5 --legacy-passes", "--legacy-passes"},
+                        Case{"amplify --factor 1 --legacy-passes", "--legacy-passes"},
+                        Case{"xfs --legacy-passes", "--legacy-passes"},
+                        Case{"check tool.c --legacy-passes", "--legacy-passes"},
+                        Case{"query --legacy-passes", "--legacy-passes"}}) {
+    const std::string command = cliPath() + " " + c.args + " 2>" + err_path;
+    FILE* pipe = popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << command;
+    std::string out;
+    char buffer[4096];
+    std::size_t n = 0;
+    while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) out.append(buffer, n);
+    const int status = pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+    EXPECT_EQ(out, "") << command;
+    const std::string err = slurp(err_path);
+    EXPECT_NE(err.find("unknown argument '" + std::string(c.unknown) + "'"), std::string::npos)
+        << command << "\n" << err;
+  }
 }
 
 TEST(CliObs, LogFlagControlsStderr) {

@@ -97,8 +97,8 @@ void expectAnalyzersIdentical(const taint::Analyzer& a, const taint::Analyzer& b
   }
 
   // The IR mirrors the per-block statement totals into the same visit
-  // counter the AST walk increments per statement, and the final-pass
-  // skip fires identically (it is decided on engine-independent state).
+  // counter the AST walk increments per statement, and the worklist
+  // skips the same analyses (staleness is engine-independent state).
   EXPECT_EQ(a.stmtVisits(), b.stmtVisits()) << name;
   EXPECT_EQ(a.concreteSkips(), b.concreteSkips()) << name;
   EXPECT_GT(a.irInstrs(), 0u) << name;
@@ -141,8 +141,8 @@ TEST(IrEquivalence, WholeComponentAnalyzerStateIdentical) {
 }
 
 // The amplified corpus stresses what the seed cannot: hundreds of
-// generated functions per ecosystem flowing through the SCC-summary
-// engine (and its symbolic sweeps) over compiled IR.
+// generated functions per ecosystem, with call chains and recursive
+// pairs, flowing through the inter-procedural worklist over compiled IR.
 TEST(IrEquivalence, AmplifiedCorpusByteIdentical) {
   const std::vector<std::string> names = amplifyCorpus({.factor = 50, .seed = 42});
   for (const bool inter : {false, true}) {

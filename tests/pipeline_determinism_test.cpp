@@ -38,10 +38,10 @@ TEST(PipelineDeterminism, SerialAndParallelTable5AreByteIdentical) {
 }
 
 TEST(PipelineDeterminism, InterProceduralSerialAndParallelAreByteIdentical) {
-  // The SCC-summary engine must be just as schedule-independent as the
-  // intra engine: per-component analyses race on the pool, but the
-  // summary construction inside each analyzer is single-threaded and
-  // the extraction order is fixed.
+  // The inter-procedural worklist must be just as schedule-independent
+  // as the intra engine: per-component analyses race on the pool, but
+  // the worklist inside each analyzer is single-threaded and the
+  // extraction order is fixed.
   taint::AnalysisOptions inter;
   inter.inter_procedural = true;
   const PipelineOptions serial{.jobs = 1, .use_cache = true};

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "ast/parser.h"
+#include "corpus/amplify.h"
+#include "corpus/pipeline.h"
 #include "lex/lexer.h"
+#include "obs/metrics.h"
 #include "sema/sema.h"
 #include "taint/analyzer.h"
 
@@ -230,6 +233,83 @@ TEST(Taint, InterProceduralParameterBinding) {
   for (const LabelId id : it->second) names.insert(s.analyzer->labels().name(id));
   EXPECT_TRUE(names.contains("param:mke2fs.size"))
       << "argument labels must bind to callee parameters in inter mode";
+}
+
+TEST(Taint, InterProceduralChainHasNoPassCap) {
+  // Callees are defined before their callers, so each worklist round
+  // carries the seed one call deeper: the store sits 16 calls below
+  // main(), beyond any fixed number of whole-program passes.
+  std::string code =
+      "struct tool_sb { long s_blocks; };\n"
+      "void f16(struct tool_sb *sb, long v) { sb->s_blocks = v; }\n";
+  for (int i = 15; i >= 1; --i) {
+    code += "void f" + std::to_string(i) + "(struct tool_sb *sb, long v) { f" +
+            std::to_string(i + 1) + "(sb, v); }\n";
+  }
+  code +=
+      "int main(int argc, char **argv, struct tool_sb *sb) {\n"
+      "  long blocks = 0; f1(sb, blocks); return 0;\n"
+      "}\n";
+  AnalysisOptions options;
+  options.inter_procedural = true;
+  const auto s = analyze(code, {{"main", "blocks", "tool.blocks"}}, options);
+  const auto writes = s.analyzer->fieldWrites();
+  const auto it = writes.find("tool_sb.s_blocks");
+  ASSERT_NE(it, writes.end());
+  EXPECT_EQ(labelSetToString(s.analyzer->labels(), it->second), "{param:tool.blocks}");
+  bool stored = false;
+  for (const WriteEvent* e : s.analyzer->writeEvents()) {
+    if (e->object != "tool_sb.s_blocks") continue;
+    stored = true;
+    EXPECT_EQ(e->fn->name, "f16");
+    EXPECT_EQ(labelSetToString(s.analyzer->labels(), e->labels), "{param:tool.blocks}");
+  }
+  EXPECT_TRUE(stored) << "the deepest callee's store must be a tainted write";
+}
+
+TEST(Taint, MutualRecursionConverges) {
+  // The label is born in pong and reaches ping only through pong's
+  // return summary (no call argument carries it), then travels back
+  // into pong through ping's: both summaries must settle on it.
+  AnalysisOptions options;
+  options.inter_procedural = true;
+  const auto s = analyze(
+      "long pong(int n);\n"
+      "long ping(int n) { return pong(n - 1); }\n"
+      "long pong(int n) { long depth = 0; if (n > 0) return ping(n); return depth; }\n"
+      "int main(int argc, char **argv) { long out = ping(argc); return 0; }\n",
+      {{"pong", "depth", "tool.depth"}}, options);
+  for (const char* fn : {"ping", "pong"}) {
+    const FunctionTaint* ft = s.analyzer->resultFor(fn);
+    ASSERT_NE(ft, nullptr) << fn;
+    EXPECT_EQ(labelSetToString(s.analyzer->labels(), ft->return_labels), "{param:tool.depth}")
+        << fn;
+  }
+  EXPECT_TRUE(exitLabels(s, "main", "out").contains("param:tool.depth"));
+}
+
+TEST(Taint, FixpointValveNeverTripsOnTheCorpora) {
+  // The per-function fixpoint stops after 64 CFG sweeps even if states
+  // still grow (an observation of 65 lands in the overflow bucket). It
+  // is the engine's last cap, so it must be unreachable on every seed
+  // component and on the amplified corpus, intra and inter.
+  obs::Histogram& sweeps = obs::Registry::global().histogram(
+      "taint.fixpoint_iterations", {}, {1, 2, 3, 4, 6, 8, 16, 32, 64});
+  sweeps.reset();
+  std::vector<std::string> names = corpus::componentNames();
+  for (const std::string& n : corpus::xfsComponentNames()) names.push_back(n);
+  for (const std::string& n : corpus::btrfsComponentNames()) names.push_back(n);
+  for (const std::string& n : corpus::amplifyCorpus({.factor = 50, .seed = 42})) {
+    names.push_back(n);
+  }
+  for (const bool inter : {false, true}) {
+    AnalysisOptions options;
+    options.inter_procedural = inter;
+    for (const std::string& name : names) corpus::AnalyzedComponent(name, options).analyze({});
+  }
+  EXPECT_GT(sweeps.count(), 0u);
+  EXPECT_EQ(sweeps.bucketValue(sweeps.bucketCount() - 1), 0u)
+      << "a function was still growing after 64 sweeps";
 }
 
 TEST(Taint, TracesRecordPropagationSteps) {
