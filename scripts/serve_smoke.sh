@@ -1,10 +1,13 @@
 #!/bin/sh
 # Smoke-test the fsdep serve daemon end to end:
 #   1. start `fsdep serve` on a private socket,
-#   2. issue `fsdep query` requests (ping, extract, docck),
-#   3. compare the extract answer byte-for-byte with the one-shot CLI,
+#   2. issue `fsdep query` requests (ping and all four analysis types:
+#      extract, docck, depgraph, blame),
+#   3. compare every analysis answer byte-for-byte with the one-shot CLI
+#      command that answers it (extract, docck, graph, explain),
 #   4. check a warm repeat is served from the memo,
-#   5. shut the daemon down cleanly and verify the socket is gone.
+#   5. check an option the command does not take exits 2,
+#   6. shut the daemon down cleanly and verify the socket is gone.
 # Usage: scripts/serve_smoke.sh <fsdep-binary> [workdir]
 set -eu
 
@@ -60,6 +63,25 @@ echo "== docck over the daemon =="
 "$FSDEP" query --socket "$SOCKET" --type docck > "$WORK/docck.txt"
 "$FSDEP" docck > "$WORK/docck-oneshot.txt"
 cmp "$WORK/docck.txt" "$WORK/docck-oneshot.txt"
+
+echo "== depgraph over the daemon: same spec and bytes as graph =="
+"$FSDEP" query --socket "$SOCKET" --type depgraph --self-deps --inter > "$WORK/depgraph.txt"
+"$FSDEP" graph --self-deps --inter > "$WORK/graph-oneshot.txt"
+cmp "$WORK/depgraph.txt" "$WORK/graph-oneshot.txt"
+
+echo "== blame over the daemon: same spec and bytes as explain =="
+"$FSDEP" query --socket "$SOCKET" --type blame --param mke2fs.sparse_super2 > "$WORK/blame.txt"
+"$FSDEP" explain mke2fs.sparse_super2 > "$WORK/explain-oneshot.txt"
+cmp "$WORK/blame.txt" "$WORK/explain-oneshot.txt"
+
+echo "== an option docck does not take fails loudly =="
+status=0
+"$FSDEP" query --socket "$SOCKET" --type docck --scenario s1 > "$WORK/bad.txt" 2>&1 || status=$?
+[ "$status" -eq 2 ] || {
+  echo "serve_smoke: query --type docck --scenario s1 exited $status, expected 2" >&2
+  cat "$WORK/bad.txt" >&2
+  exit 1
+}
 
 echo "== clean shutdown =="
 "$FSDEP" query --socket "$SOCKET" --raw '{"type":"shutdown"}' > /dev/null

@@ -11,50 +11,16 @@
 #include <utility>
 
 #include "corpus/pipeline.h"
-#include "extract/scoring.h"
-#include "model/serialization.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/report.h"
 #include "obs/trace.h"
-#include "tools/condocck.h"
-#include "tools/depgraph.h"
+#include "tools/commands.h"
 
 namespace fsdep::tools {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Same env default the CLI's taintOptionsFromFlags applies, so a query
-/// without inter/intra set matches a one-shot CLI run in the same
-/// environment byte for byte.
-bool envInterDefault() {
-  const char* env = std::getenv("FSDEP_INTER");
-  if (env == nullptr) return false;
-  const std::string value = env;
-  return !(value.empty() || value == "0" || value == "false" || value == "off");
-}
-
-std::string stringField(const json::Object& request, const char* key,
-                        const std::string& fallback) {
-  const json::Value* value = request.find(key);
-  return value != nullptr && value->isString() ? value->asString() : fallback;
-}
-
-bool boolField(const json::Object& request, const char* key, bool fallback) {
-  const json::Value* value = request.find(key);
-  return value != nullptr && value->isBool() ? value->asBool() : fallback;
-}
-
-taint::AnalysisOptions taintOptionsFromRequest(const json::Object& request) {
-  taint::AnalysisOptions topts;
-  topts.inter_procedural = envInterDefault();
-  if (boolField(request, "inter", false)) topts.inter_procedural = true;
-  if (boolField(request, "intra", false)) topts.inter_procedural = false;
-  if (boolField(request, "legacy_walk", false)) topts.compile_ir = false;
-  return topts;
-}
 
 /// Writes one line (with trailing '\n') fully; short writes retried.
 bool writeLine(int fd, const std::string& line) {
@@ -70,6 +36,15 @@ bool writeLine(int fd, const std::string& line) {
 }
 
 }  // namespace
+
+const Command* servedCommand(std::string_view type) {
+  static constexpr std::pair<std::string_view, std::string_view> kServed[] = {
+      {"extract", "extract"}, {"depgraph", "graph"}, {"docck", "docck"}, {"blame", "explain"}};
+  for (const auto& [request, command] : kServed) {
+    if (type == request) return findCommand(command);
+  }
+  return nullptr;
+}
 
 std::string defaultSocketPath() {
   const char* env = std::getenv("FSDEP_SOCKET");
@@ -184,12 +159,13 @@ std::string ServeDaemon::handleLine(const std::string& line) {
     const json::Object& request = parsed.value().asObject();
     const json::Value* id = request.find("id");
     if (id != nullptr) response["id"] = *id;
-    type = stringField(request, "type", "");
+    const json::Value* type_field = request.find("type");
+    type = type_field != nullptr && type_field->isString() ? type_field->asString() : "";
     obs::Span span("serve", "request");
     span.arg("type", type);
     obs::Registry::global().counter("serve.requests", {{"type", type}}).add();
     try {
-      dispatch(type, parsed.value(), response);
+      dispatch(type, request, response);
     } catch (const std::exception& e) {
       response["ok"] = false;
       response["error"] = std::string(e.what());
@@ -213,10 +189,8 @@ std::string ServeDaemon::handleLine(const std::string& line) {
   return json::writeCompact(json::Value(std::move(response)));
 }
 
-void ServeDaemon::dispatch(const std::string& type, const json::Value& request_value,
+void ServeDaemon::dispatch(const std::string& type, const json::Object& request,
                            json::Object& out) {
-  const json::Object& request = request_value.asObject();
-
   if (type == "ping") {
     out["ok"] = true;
     out["stdout"] = "pong";
@@ -264,20 +238,26 @@ void ServeDaemon::dispatch(const std::string& type, const json::Value& request_v
     return;
   }
 
-  // Analysis requests are memoized on their canonical option string:
-  // the warm path is one map lookup — no parse, no pipeline, no disk.
-  std::string memo_key = type;
-  for (const char* key : {"scenario", "param", "inter", "intra", "legacy_walk", "no_bridging",
-                          "json", "self_deps"}) {
-    const json::Value* value = request.find(key);
-    memo_key.push_back('\x1f');
-    if (value == nullptr) continue;
-    memo_key += value->isString() ? value->asString() : json::writeCompact(*value);
+  const Command* command = servedCommand(type);
+  if (command == nullptr) {
+    out["ok"] = false;
+    out["error"] = type.empty() ? "missing request 'type'" : "unknown request type '" + type + "'";
+    return;
   }
+  const Result<Options> options = bindRequest(*command, request);
+  if (!options.ok()) {
+    out["ok"] = false;
+    out["error"] = type + ": " + options.error().message;
+    return;
+  }
+
+  // Analysis requests are memoized on the command and its canonical
+  // typed options: the warm path is one map lookup — no pipeline, no disk.
   {
     const std::lock_guard<std::mutex> lock(memo_mu_);
-    const auto it = memo_.find(memo_key);
-    if (it != memo_.end()) {
+    const std::map<Options, std::string>& answers = memo_[command];
+    const auto it = answers.find(options.value());
+    if (it != answers.end()) {
       out["ok"] = true;
       out["cached"] = true;
       out["stdout"] = it->second;
@@ -285,108 +265,20 @@ void ServeDaemon::dispatch(const std::string& type, const json::Value& request_v
     }
   }
 
-  std::string stdout_text;
-  if (type == "extract") {
-    taint::AnalysisOptions topts = taintOptionsFromRequest(request);
-    extract::ExtractOptions eopts = corpus::extractOptions();
-    eopts.enable_bridging = !boolField(request, "no_bridging", false);
-    topts.field_bridging = eopts.enable_bridging;
-    const std::string scenario_id = stringField(request, "scenario", "all");
-
-    std::vector<model::Dependency> deps;
-    if (scenario_id == "all") {
-      std::vector<std::vector<model::Dependency>> per_scenario;
-      for (const corpus::Scenario& s : corpus::scenarios()) {
-        per_scenario.push_back(corpus::runScenario(s, topts, &eopts, {options_.jobs}));
-      }
-      deps = extract::dedupeAcrossScenarios(per_scenario);
-    } else {
-      bool found = false;
-      for (const corpus::Scenario& s : corpus::scenarios()) {
-        if (s.id == scenario_id) {
-          deps = corpus::runScenario(s, topts, &eopts, {options_.jobs});
-          found = true;
-        }
-      }
-      if (!found) {
-        out["ok"] = false;
-        out["error"] = "unknown scenario '" + scenario_id + "'";
-        return;
-      }
-    }
-    // Byte-identical to cmdExtract: JSON mode is writePretty of the
-    // model serialization; text mode is summary lines + count trailer.
-    if (boolField(request, "json", false)) {
-      stdout_text = json::writePretty(model::toJson(deps));
-    } else {
-      for (const model::Dependency& dep : deps) {
-        stdout_text += dep.summary();
-        stdout_text.push_back('\n');
-      }
-      stdout_text += "\n" + std::to_string(deps.size()) + " dependencies extracted\n";
-    }
-  } else if (type == "depgraph") {
-    const corpus::Table5Result result =
-        corpus::runTable5(taintOptionsFromRequest(request), nullptr, {options_.jobs});
-    GraphOptions graph_options;
-    graph_options.include_self_deps = boolField(request, "self_deps", false);
-    stdout_text = renderDependencyGraphDot(result.unique_deps, graph_options);
-  } else if (type == "docck") {
-    const DocCheckReport report = runCorpusDocCheck();
-    stdout_text = report.summary() + "\n";
-    for (const DocIssue& issue : report.issues) {
-      stdout_text += "  [" + std::string(docIssueKindName(issue.kind)) + "] " +
-                     issue.explanation + "\n";
-    }
-  } else if (type == "blame") {
-    // Blame-ready query: everything known about one parameter — the
-    // same rendering `fsdep explain` prints, so a future fsdep blame
-    // client starts from an already-stable surface.
-    const std::string param = stringField(request, "param", "");
-    if (param.empty()) {
-      out["ok"] = false;
-      out["error"] = "blame: missing 'param'";
-      return;
-    }
-    const corpus::Table5Result result =
-        corpus::runTable5(taintOptionsFromRequest(request), nullptr, {options_.jobs});
-    const model::Parameter* registered = corpus::ecosystem().findParameter(param);
-    if (registered != nullptr) {
-      stdout_text = param + "  (" + registered->flag + ", " +
-                    model::configStageName(registered->stage) +
-                    " stage): " + registered->description + "\n\n";
-    } else {
-      stdout_text = param + "  (not in the parameter registry)\n\n";
-    }
-    int shown = 0;
-    for (const model::Dependency& dep : result.unique_deps) {
-      if (dep.param != param && dep.other_param != param) continue;
-      stdout_text += "  " + dep.summary() + "\n";
-      for (const std::string& step : dep.trace) stdout_text += "      " + step + "\n";
-      ++shown;
-    }
-    bool documented = false;
-    for (const corpus::ManualEntry& entry : corpus::allManuals()) {
-      if (entry.claim.param == param || entry.claim.other_param == param) {
-        stdout_text += "  manual: \"" + entry.text + "\"\n";
-        documented = true;
-      }
-    }
-    if (shown == 0) stdout_text += "  no extracted dependencies involve this parameter\n";
-    if (!documented) stdout_text += "  no manual claim mentions this parameter\n";
-  } else {
+  CommandResult result = command->run(options.value(), CommandContext{options_.jobs});
+  if (result.exit_code != 0) {
+    while (!result.err.empty() && result.err.back() == '\n') result.err.pop_back();
     out["ok"] = false;
-    out["error"] = type.empty() ? "missing request 'type'" : "unknown request type '" + type + "'";
+    out["error"] = std::move(result.err);
     return;
   }
-
   {
     const std::lock_guard<std::mutex> lock(memo_mu_);
-    memo_[memo_key] = stdout_text;
+    memo_[command][options.value()] = result.out;
   }
   out["ok"] = true;
   out["cached"] = false;
-  out["stdout"] = std::move(stdout_text);
+  out["stdout"] = std::move(result.out);
 }
 
 void ServeDaemon::wait() {
@@ -430,11 +322,6 @@ void ServeDaemon::stop() {
     if (t.joinable()) t.join();
   }
   ::unlink(options_.socket_path.c_str());
-
-  obs::RunReport& report = obs::RunReport::global();
-  report.note("serve_requests", requests_.load(std::memory_order_relaxed));
-  report.note("serve_memo_hits", memo_hits_.load(std::memory_order_relaxed));
-  report.note("serve_errors", errors_.load(std::memory_order_relaxed));
   FSDEP_LOG_INFO("serve", "stopped after %llu request(s)",
                  static_cast<unsigned long long>(requests_.load(std::memory_order_relaxed)));
 }

@@ -1,29 +1,27 @@
-// fsdep serve — a long-running analysis daemon (ROADMAP item 1). One
-// process keeps the in-memory ComponentCache and the on-disk DiskCache
-// warm across queries, so interactive clients (editors, CI bots, the
-// future `fsdep blame`) get answers in sub-millisecond time instead of
-// paying a full corpus re-parse per invocation.
+// fsdep serve — a long-running analysis daemon. One process keeps the
+// in-memory ComponentCache and the on-disk DiskCache warm across
+// queries, so interactive clients get answers in sub-millisecond time
+// instead of paying a full corpus re-parse per invocation.
 //
-// Protocol: newline-delimited JSON over a local Unix stream socket. One
-// request per line, one response line per request, any number of
-// requests per connection:
+// Protocol: newline-delimited JSON over a local Unix stream socket, one
+// response line per request line, any number per connection:
 //
 //   -> {"id":"1","type":"extract","scenario":"s1","json":false}
 //   <- {"id":"1","ok":true,"cached":false,"wall_us":8123,"stdout":"..."}
 //
-// `stdout` is byte-identical to what the one-shot CLI command prints for
-// the same options — the daemon is a transport, not a different
-// renderer. Request types: ping, extract, depgraph, docck, blame,
-// stats, invalidate, shutdown (see docs/serve.md for the full schema).
-// Malformed requests produce {"ok":false,"error":...} without killing
-// the connection.
+// The analysis types run a command of the command table
+// (tools/commands.h): extract, depgraph -> graph, docck, blame ->
+// explain. Their fields are that command's options bound through its
+// spec, so `stdout` is the one-shot CLI's stdout by construction and an
+// unknown or wrong-typed field gets {"ok":false,"error":...} naming it.
+// ping, stats, invalidate and shutdown are serve-only (docs/serve.md).
 //
 // Concurrency: every connection gets its own handler thread (the global
 // ThreadPool is NOT used for connections — parallelFor inside a request
 // drains the pool, and a long-lived connection job would deadlock it);
-// analysis work inside a request still fans out on the ThreadPool via
-// the pipeline. Identical warm queries are answered from an in-memory
-// response memo (`cached`: true).
+// analysis work inside a request still fans out on the ThreadPool. Warm
+// queries are answered from a response memo (`cached`: true) keyed by
+// the command and its canonical typed options (FSDEP_INTER resolved).
 #pragma once
 
 #include <atomic>
@@ -32,11 +30,14 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "json/json.h"
 #include "support/result.h"
+#include "tools/commands.h"
 
 namespace fsdep::tools {
 
@@ -51,6 +52,10 @@ struct ServeOptions {
 /// FSDEP_SOCKET env var, else /tmp/fsdep.sock — shared by daemon and
 /// client so `fsdep serve` + `fsdep query` agree without flags.
 std::string defaultSocketPath();
+
+/// The command that answers analysis request type `type` (extract,
+/// depgraph, docck, blame); nullptr for any other type.
+const Command* servedCommand(std::string_view type);
 
 class ServeDaemon {
  public:
@@ -85,12 +90,13 @@ class ServeDaemon {
   [[nodiscard]] std::uint64_t memoHits() const {
     return memo_hits_.load(std::memory_order_relaxed);
   }
+  [[nodiscard]] std::uint64_t errors() const { return errors_.load(std::memory_order_relaxed); }
 
  private:
   void acceptLoop();
   void handleConnection(int fd);
   /// Dispatches a parsed request; fills `out` (ok/stdout or error).
-  void dispatch(const std::string& type, const json::Value& request, json::Object& out);
+  void dispatch(const std::string& type, const json::Object& request, json::Object& out);
 
   ServeOptions options_;
   int listen_fd_ = -1;
@@ -101,11 +107,11 @@ class ServeDaemon {
   std::mutex conn_mu_;
   std::vector<std::thread> connections_;
 
-  /// Response memo: canonical request -> stdout payload. Serving a warm
-  /// query is a map lookup; `invalidate` clears it together with the
-  /// component + disk caches.
+  /// Response memo: command -> canonical typed options -> stdout.
+  /// Serving a warm query is a map lookup; `invalidate` clears it
+  /// together with the component + disk caches.
   std::mutex memo_mu_;
-  std::map<std::string, std::string> memo_;
+  std::map<const Command*, std::map<Options, std::string>> memo_;
 
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -36,6 +37,12 @@ json::Object parseResponse(const std::string& line) {
   EXPECT_TRUE(parsed.ok()) << "response is not JSON: " << line;
   EXPECT_TRUE(parsed.value().isObject());
   return parsed.value().asObject();
+}
+
+/// The response's error text ("" when it has none).
+std::string errorOf(const json::Object& response) {
+  const json::Value* error = response.find("error");
+  return error != nullptr && error->isString() ? error->asString() : "";
 }
 
 /// What the one-shot CLI prints for `fsdep extract --scenario <id>`.
@@ -106,6 +113,48 @@ TEST(ServeProtocol, ExtractMatchesDirectPipelineByteForByte) {
       parseResponse(daemon.handleLine(R"({"type":"extract","scenario":"s9"})"));
   EXPECT_FALSE(bad.find("ok")->asBool());
   EXPECT_NE(bad.find("error")->asString().find("unknown scenario"), std::string::npos);
+}
+
+TEST(ServeProtocol, WrongTypedFieldIsRejectedAndDoesNotPoisonTheMemo) {
+  // "json":"true" used to be ignored (a text answer) and memoized under
+  // the key of "json":true, so the correct request got text back.
+  ServeDaemon daemon(ServeOptions{testSocketPath("typed")});
+  json::Object wrong = parseResponse(
+      daemon.handleLine(R"({"type":"extract","scenario":"s1","json":"true"})"));
+  EXPECT_FALSE(wrong.find("ok")->asBool());
+  EXPECT_NE(errorOf(wrong).find("'json'"), std::string::npos) << errorOf(wrong);
+
+  json::Object right =
+      parseResponse(daemon.handleLine(R"({"type":"extract","scenario":"s1","json":true})"));
+  ASSERT_TRUE(right.find("ok")->asBool());
+  EXPECT_FALSE(right.find("cached")->asBool());
+  const Result<json::Value> deps = json::parse(right.find("stdout")->asString());
+  ASSERT_TRUE(deps.ok()) << "json:true must answer JSON";
+  EXPECT_TRUE(deps.value().isObject());
+}
+
+TEST(ServeProtocol, FieldTheCommandDoesNotTakeIsRejected) {
+  ServeDaemon daemon(ServeOptions{testSocketPath("unknown-field")});
+  json::Object response =
+      parseResponse(daemon.handleLine(R"({"type":"docck","scenario":"s1"})"));
+  EXPECT_FALSE(response.find("ok")->asBool());
+  EXPECT_NE(errorOf(response).find("'scenario'"), std::string::npos) << errorOf(response);
+}
+
+TEST(ServeProtocol, MemoKeyIsTheCanonicalTypedOptions) {
+  // With FSDEP_INTER unset, an explicit intra and json:false run the
+  // same command the same way as leaving them out.
+  ::unsetenv("FSDEP_INTER");
+  ServeDaemon daemon(ServeOptions{testSocketPath("canonical")});
+  json::Object cold =
+      parseResponse(daemon.handleLine(R"({"type":"extract","scenario":"s1"})"));
+  ASSERT_TRUE(cold.find("ok")->asBool());
+  EXPECT_FALSE(cold.find("cached")->asBool());
+  json::Object warm = parseResponse(daemon.handleLine(
+      R"({"type":"extract","scenario":"s1","intra":true,"json":false})"));
+  ASSERT_TRUE(warm.find("ok")->asBool());
+  EXPECT_TRUE(warm.find("cached")->asBool());
+  EXPECT_EQ(warm.find("stdout")->asString(), cold.find("stdout")->asString());
 }
 
 TEST(ServeProtocol, BlameRequiresParamAndListsDependencies) {
