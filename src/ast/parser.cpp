@@ -33,8 +33,19 @@ bool Parser::match(TokenKind kind) {
 const Token& Parser::expect(TokenKind kind, const char* context) {
   if (check(kind)) return advance();
   diags_.error(peek().loc, std::string("expected '") + lex::tokenKindName(kind) + "' " + context +
-                               ", found '" + (peek().isEof() ? "eof" : peek().text) + "'");
+                               ", found '" + foundText() + "'");
   return eof_;
+}
+
+std::string Parser::foundText() const {
+  return peek().isEof() ? std::string("eof") : std::string(peek().text);
+}
+
+Parser::NestingGuard::NestingGuard(Parser& parser) : parser_(parser) {
+  if (++parser_.depth_ > kMaxNesting) {
+    --parser_.depth_;
+    throw NestingTooDeep{parser_.peek().loc};
+  }
 }
 
 void Parser::synchronize() {
@@ -180,9 +191,14 @@ std::unique_ptr<TranslationUnit> Parser::parseTranslationUnit(std::string name) 
   auto tu = std::make_unique<TranslationUnit>();
   tu_ = tu.get();
   tu->name = std::move(name);
-  while (!peek().isEof()) {
-    DeclPtr decl = parseTopLevelDecl();
-    if (decl != nullptr) tu->decls.push_back(std::move(decl));
+  try {
+    while (!peek().isEof()) {
+      DeclPtr decl = parseTopLevelDecl();
+      if (decl != nullptr) tu->decls.push_back(std::move(decl));
+    }
+  } catch (const NestingTooDeep& e) {
+    diags_.error(e.loc, "nesting too deep: more than " + std::to_string(kMaxNesting) +
+                            " levels of statements and expressions");
   }
   return tu;
 }
@@ -210,7 +226,7 @@ DeclPtr Parser::parseTopLevelDecl() {
   }
   bool is_static = match(TokenKind::KwStatic);
   if (!startsType()) {
-    diags_.error(loc, "expected a declaration, found '" + (peek().isEof() ? "eof" : peek().text) + "'");
+    diags_.error(loc, "expected a declaration, found '" + foundText() + "'");
     synchronize();
     return nullptr;
   }
@@ -282,7 +298,7 @@ DeclPtr Parser::parseTypedefDecl(SourceLoc loc) {
 DeclPtr Parser::parseFunctionOrVarDecl(bool is_static) {
   const SourceLoc loc = peek().loc;
   TypeSpec type = parseTypeSpec();
-  const std::string name = expect(TokenKind::Identifier, "as declaration name").text;
+  const std::string name(expect(TokenKind::Identifier, "as declaration name").text);
 
   if (check(TokenKind::LParen)) {
     auto fn = node<FunctionDecl>();
@@ -355,6 +371,7 @@ StmtPtr Parser::parseCompoundStmt() {
 }
 
 StmtPtr Parser::parseStmt() {
+  const NestingGuard guard(*this);
   const SourceLoc loc = peek().loc;
   switch (peek().kind) {
     case TokenKind::LBrace: return parseCompoundStmt();
@@ -536,6 +553,7 @@ StmtPtr Parser::parseReturnStmt() {
 ExprPtr Parser::parseExpr() { return parseAssignment(); }
 
 ExprPtr Parser::parseAssignment() {
+  const NestingGuard guard(*this);
   ExprPtr lhs = parseConditional();
   BinaryOp op;
   switch (peek().kind) {
@@ -560,6 +578,7 @@ ExprPtr Parser::parseAssignment() {
 }
 
 ExprPtr Parser::parseConditional() {
+  const NestingGuard guard(*this);
   ExprPtr cond = parseBinary(0);
   if (!check(TokenKind::Question)) return cond;
   const SourceLoc loc = advance().loc;
@@ -620,6 +639,7 @@ ExprPtr Parser::parseBinary(int min_precedence) {
 }
 
 ExprPtr Parser::parseUnary() {
+  const NestingGuard guard(*this);
   const SourceLoc loc = peek().loc;
   UnaryOp op;
   switch (peek().kind) {
@@ -708,7 +728,7 @@ ExprPtr Parser::parsePostfix() {
       expr = std::move(e);
     } else if (check(TokenKind::Dot) || check(TokenKind::Arrow)) {
       const bool is_arrow = advance().kind == TokenKind::Arrow;
-      std::string member = expect(TokenKind::Identifier, "as member name").text;
+      std::string member(expect(TokenKind::Identifier, "as member name").text);
       auto e = node<MemberExpr>(std::move(expr), std::move(member), is_arrow);
       e->loc = loc;
       expr = std::move(e);
@@ -734,7 +754,7 @@ ExprPtr Parser::parsePrimary() {
       return e;
     }
     case TokenKind::StringLiteral: {
-      std::string value = advance().text;
+      std::string value(advance().text);
       // Adjacent string literal concatenation.
       while (check(TokenKind::StringLiteral)) value += advance().text;
       auto e = node<StringLiteralExpr>(std::move(value));
@@ -742,7 +762,7 @@ ExprPtr Parser::parsePrimary() {
       return e;
     }
     case TokenKind::Identifier: {
-      auto e = node<DeclRefExpr>(advance().text);
+      auto e = node<DeclRefExpr>(std::string(advance().text));
       e->loc = loc;
       return e;
     }
@@ -767,8 +787,7 @@ ExprPtr Parser::parsePrimary() {
       return e;
     }
     default: {
-      diags_.error(loc, "expected an expression, found '" +
-                            (peek().isEof() ? std::string("eof") : peek().text) + "'");
+      diags_.error(loc, "expected an expression, found '" + foundText() + "'");
       advance();
       auto e = node<IntLiteralExpr>(0);
       e->loc = loc;

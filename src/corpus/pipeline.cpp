@@ -77,18 +77,22 @@ CacheKey scenarioCacheKey(const Scenario& scenario,
 AnalyzedComponent::AnalyzedComponent(std::string name,
                                      const taint::AnalysisOptions& taint_options,
                                      bool use_cache) {
-  if (use_cache) {
-    bool built = false;
-    entry_ = ComponentCache::global().get(name, taint_options, &built);
-    if (built) {
-      reg().counter("pipeline.parse_ns", {{"component", name}, {"mode", "cached"}})
+  {
+    obs::Span span("pipeline", "component-get");
+    if (use_cache) {
+      bool built = false;
+      entry_ = ComponentCache::global().get(name, taint_options, &built);
+      if (built) {
+        reg().counter("pipeline.parse_ns", {{"component", name}, {"mode", "cached"}})
+            .add(entry_->parse_ns);
+      }
+    } else {
+      entry_ = ComponentCache::build(name, taint_options);
+      reg().counter("pipeline.parse_ns", {{"component", name}, {"mode", "fresh"}})
           .add(entry_->parse_ns);
     }
-  } else {
-    entry_ = ComponentCache::build(name, taint_options);
-    reg().counter("pipeline.parse_ns", {{"component", name}, {"mode", "fresh"}})
-        .add(entry_->parse_ns);
   }
+  obs::Span span("pipeline", "analyzer-setup");
   analyzer_ = std::make_unique<taint::Analyzer>(*entry_->tu, *entry_->sema, taint_options);
   // Share the entry's Taint-IR memo: repeat analyses of a cached
   // component reuse the compiled instruction streams instead of
@@ -110,6 +114,7 @@ void AnalyzedComponent::analyze(const std::vector<std::string>& function_names) 
   }
   const auto start = Clock::now();
   analyzer_->run(fns);
+  obs::Span span("pipeline", "publish-metrics");
   const obs::Labels by_component{{"component", entry_->name}};
   reg().counter("pipeline.analyze_ns", by_component).add(elapsedNs(start));
   reg().counter("pipeline.components_analyzed", by_component).add(1);

@@ -1,5 +1,9 @@
 // Raw tokenizer for a single source buffer. Preprocessing (includes,
 // macros, conditionals) is layered on top in lex/preprocessor.h.
+//
+// Tokens view their text (see lex/token.h): the lexer copies no bytes
+// except the decoded text of a literal with escapes, which it interns in
+// the SourceManager.
 #pragma once
 
 #include <vector>
@@ -12,7 +16,7 @@ namespace fsdep::lex {
 
 class Lexer {
  public:
-  Lexer(const SourceManager& sm, FileId file, DiagnosticEngine& diags);
+  Lexer(SourceManager& sm, FileId file, DiagnosticEngine& diags);
 
   /// Returns the next raw token; Eof forever after the end.
   Token next();
@@ -26,14 +30,14 @@ class Lexer {
   bool match(char expected);
   [[nodiscard]] SourceLoc here() const;
 
-  Token makeToken(TokenKind kind, SourceLoc loc, std::string text) const;
-  Token lexIdentifier(SourceLoc loc);
-  Token lexNumber(SourceLoc loc);
+  /// Consumes bytes up to `end`, none of which is a newline.
+  std::string_view take(std::size_t end);
+  std::string_view lexNumber(std::int64_t& value);
   Token lexCharLiteral(SourceLoc loc);
   Token lexStringLiteral(SourceLoc loc);
   void skipWhitespaceAndComments();
 
-  const SourceManager& sm_;
+  SourceManager& sm_;
   FileId file_;
   DiagnosticEngine& diags_;
   std::string_view text_;

@@ -1,5 +1,7 @@
 #include "lex/preprocessor.h"
 
+#include <algorithm>
+
 namespace fsdep::lex {
 
 Preprocessor::Preprocessor(SourceManager& sm, DiagnosticEngine& diags, IncludeResolver resolver)
@@ -35,11 +37,11 @@ std::vector<Token> Preprocessor::readDirectiveTail(Lexer& lexer, std::uint32_t l
     Token t = lexer.next();
     if (t.isEof()) break;
     if (t.loc.line != line || t.start_of_line) {
-      pending = std::move(t);
+      pending = t;
       has_pending = true;
       break;
     }
-    tail.push_back(std::move(t));
+    tail.push_back(t);
   }
   return tail;
 }
@@ -56,7 +58,7 @@ void Preprocessor::processFile(FileId file, std::vector<Token>& out, int depth) 
   bool has_pending = false;
 
   while (true) {
-    Token t = has_pending ? std::move(pending) : lexer.next();
+    const Token t = has_pending ? pending : lexer.next();
     has_pending = false;
     if (t.isEof()) break;
 
@@ -65,13 +67,13 @@ void Preprocessor::processFile(FileId file, std::vector<Token>& out, int depth) 
       Token name_tok = lexer.next();
       if (name_tok.isEof() || name_tok.loc.line != line) {
         if (!name_tok.isEof()) {
-          pending = std::move(name_tok);
+          pending = name_tok;
           has_pending = true;
         }
         continue;  // a lone '#' line is a null directive
       }
       std::vector<Token> tail = readDirectiveTail(lexer, line, pending, has_pending);
-      const std::string& directive = name_tok.text;
+      const std::string_view directive = name_tok.text;
 
       if (directive == "include") {
         if (!active()) continue;
@@ -79,7 +81,7 @@ void Preprocessor::processFile(FileId file, std::vector<Token>& out, int depth) 
           diags_.error(name_tok.loc, "#include expects a \"file\" operand");
           continue;
         }
-        const std::string& inc_name = tail[0].text;
+        const std::string inc_name(tail[0].text);
         if (included_once_.contains(inc_name)) continue;
         std::optional<std::string> contents = resolver_ ? resolver_(inc_name) : std::nullopt;
         if (!contents) {
@@ -98,15 +100,20 @@ void Preprocessor::processFile(FileId file, std::vector<Token>& out, int depth) 
         }
         Macro m;
         m.replacement.assign(tail.begin() + 1, tail.end());
-        macros_[tail[0].text] = std::move(m);
+        macros_.insert_or_assign(std::string(tail[0].text), std::move(m));
       } else if (directive == "undef") {
         if (!active()) continue;
-        if (tail.size() == 1 && tail[0].is(TokenKind::Identifier)) macros_.erase(tail[0].text);
-        else diags_.error(name_tok.loc, "#undef expects a macro name");
+        if (tail.size() == 1 && tail[0].is(TokenKind::Identifier)) {
+          if (const auto it = macros_.find(tail[0].text); it != macros_.end()) macros_.erase(it);
+        } else {
+          diags_.error(name_tok.loc, "#undef expects a macro name");
+        }
       } else if (directive == "ifdef" || directive == "ifndef") {
         bool defined = tail.size() == 1 && tail[0].is(TokenKind::Identifier) &&
                        macros_.contains(tail[0].text);
-        if (tail.size() != 1) diags_.error(name_tok.loc, "#" + directive + " expects one name");
+        if (tail.size() != 1) {
+          diags_.error(name_tok.loc, "#" + std::string(directive) + " expects one name");
+        }
         const bool cond = directive == "ifdef" ? defined : !defined;
         conditionals_.push_back(Conditional{active(), cond, false});
       } else if (directive == "else") {
@@ -127,12 +134,12 @@ void Preprocessor::processFile(FileId file, std::vector<Token>& out, int depth) 
       } else if (directive == "pragma") {
         // Ignored.
       } else {
-        if (active()) diags_.error(name_tok.loc, "unknown directive #" + directive);
+        if (active()) diags_.error(name_tok.loc, "unknown directive #" + std::string(directive));
       }
       continue;
     }
 
-    if (active()) emitToken(std::move(t), out);
+    if (active()) emitToken(t, out);
   }
 
   if (conditionals_.size() != conditional_depth_at_entry) {
@@ -141,38 +148,38 @@ void Preprocessor::processFile(FileId file, std::vector<Token>& out, int depth) 
   }
 }
 
-void Preprocessor::emitToken(Token token, std::vector<Token>& out) {
+void Preprocessor::emitToken(const Token& token, std::vector<Token>& out) {
   if (token.is(TokenKind::Identifier) && macros_.contains(token.text)) {
-    std::unordered_set<std::string> expanding;
+    std::vector<std::string_view> expanding;
     expandMacro(token.text, token.loc, out, expanding);
     return;
   }
-  out.push_back(std::move(token));
+  out.push_back(token);
 }
 
-void Preprocessor::expandMacro(const std::string& name, SourceLoc use_loc, std::vector<Token>& out,
-                               std::unordered_set<std::string>& expanding) {
+void Preprocessor::expandMacro(std::string_view name, SourceLoc use_loc, std::vector<Token>& out,
+                               std::vector<std::string_view>& expanding) {
   const auto it = macros_.find(name);
-  if (it == macros_.end() || expanding.contains(name)) {
+  if (it == macros_.end() || std::ranges::find(expanding, name) != expanding.end()) {
     // Self-referential macros stay as plain identifiers, like a real cpp.
     Token t;
     t.kind = TokenKind::Identifier;
     t.text = name;
     t.loc = use_loc;
-    out.push_back(std::move(t));
+    out.push_back(t);
     return;
   }
-  expanding.insert(name);
+  expanding.push_back(name);
   for (const Token& rep : it->second.replacement) {
     if (rep.is(TokenKind::Identifier) && macros_.contains(rep.text)) {
       expandMacro(rep.text, use_loc, out, expanding);
     } else {
       Token t = rep;
       t.loc = use_loc;  // report diagnostics at the use site
-      out.push_back(std::move(t));
+      out.push_back(t);
     }
   }
-  expanding.erase(name);
+  expanding.pop_back();
 }
 
 }  // namespace fsdep::lex

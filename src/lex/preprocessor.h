@@ -3,12 +3,14 @@
 // (enough for header guards and feature gates in the corpus). Function-like
 // macros are not supported; the corpus uses real functions and enums, which
 // also gives the taint analysis more to chew on.
+//
+// Output tokens view the SourceManager's bytes (lex/token.h), macro
+// expansions included, so they stay valid after the Preprocessor is gone.
 #pragma once
 
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "lex/token.h"
 #include "support/diagnostics.h"
 #include "support/source_manager.h"
+#include "support/strings.h"
 
 namespace fsdep::lex {
 
@@ -32,7 +35,7 @@ class Preprocessor {
   /// Tokenizes `file` with all directives processed and macros expanded.
   std::vector<Token> tokenize(FileId file);
 
-  [[nodiscard]] bool isMacroDefined(const std::string& name) const {
+  [[nodiscard]] bool isMacroDefined(std::string_view name) const {
     return macros_.contains(name);
   }
 
@@ -42,10 +45,9 @@ class Preprocessor {
   };
 
   void processFile(FileId file, std::vector<Token>& out, int depth);
-  void handleDirective(Lexer& lexer, const Token& hash, std::vector<Token>& out, int depth);
-  void emitToken(Token token, std::vector<Token>& out);
-  void expandMacro(const std::string& name, SourceLoc use_loc, std::vector<Token>& out,
-                   std::unordered_set<std::string>& expanding);
+  void emitToken(const Token& token, std::vector<Token>& out);
+  void expandMacro(std::string_view name, SourceLoc use_loc, std::vector<Token>& out,
+                   std::vector<std::string_view>& expanding);
 
   /// Reads tokens until the end of the directive's line.
   static std::vector<Token> readDirectiveTail(Lexer& lexer, std::uint32_t line, Token& pending,
@@ -56,7 +58,7 @@ class Preprocessor {
   SourceManager& sm_;
   DiagnosticEngine& diags_;
   IncludeResolver resolver_;
-  std::unordered_map<std::string, Macro> macros_;
+  TextMap<Macro> macros_;  // looked up by a token's text
   std::unordered_set<std::string> included_once_;  // include-guard shortcut
 
   struct Conditional {

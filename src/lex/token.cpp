@@ -1,7 +1,5 @@
 #include "lex/token.h"
 
-#include <unordered_map>
-
 namespace fsdep::lex {
 
 const char* tokenKindName(TokenKind kind) {
@@ -88,24 +86,66 @@ const char* tokenKindName(TokenKind kind) {
   return "unknown";
 }
 
+// Keywords are classified by length, then compared: no hashing, and
+// most identifiers are rejected by the length switch alone.
 TokenKind classifyIdentifier(std::string_view text) {
-  static const std::unordered_map<std::string_view, TokenKind> kKeywords = {
-      {"void", TokenKind::KwVoid},       {"char", TokenKind::KwChar},
-      {"short", TokenKind::KwShort},     {"int", TokenKind::KwInt},
-      {"long", TokenKind::KwLong},       {"signed", TokenKind::KwSigned},
-      {"unsigned", TokenKind::KwUnsigned}, {"struct", TokenKind::KwStruct},
-      {"enum", TokenKind::KwEnum},       {"typedef", TokenKind::KwTypedef},
-      {"static", TokenKind::KwStatic},   {"const", TokenKind::KwConst},
-      {"extern", TokenKind::KwExtern},   {"if", TokenKind::KwIf},
-      {"else", TokenKind::KwElse},       {"while", TokenKind::KwWhile},
-      {"for", TokenKind::KwFor},         {"do", TokenKind::KwDo},
-      {"switch", TokenKind::KwSwitch},   {"case", TokenKind::KwCase},
-      {"default", TokenKind::KwDefault}, {"return", TokenKind::KwReturn},
-      {"break", TokenKind::KwBreak},     {"continue", TokenKind::KwContinue},
-      {"sizeof", TokenKind::KwSizeof},   {"goto", TokenKind::KwGoto},
-  };
-  const auto it = kKeywords.find(text);
-  return it != kKeywords.end() ? it->second : TokenKind::Identifier;
+  switch (text.size()) {
+    case 2:
+      if (text == "if") return TokenKind::KwIf;
+      if (text == "do") return TokenKind::KwDo;
+      break;
+    case 3:
+      if (text == "int") return TokenKind::KwInt;
+      if (text == "for") return TokenKind::KwFor;
+      break;
+    case 4:
+      switch (text[0]) {
+        case 'v': if (text == "void") return TokenKind::KwVoid; break;
+        case 'c':
+          if (text == "char") return TokenKind::KwChar;
+          if (text == "case") return TokenKind::KwCase;
+          break;
+        case 'l': if (text == "long") return TokenKind::KwLong; break;
+        case 'e':
+          if (text == "enum") return TokenKind::KwEnum;
+          if (text == "else") return TokenKind::KwElse;
+          break;
+        case 'g': if (text == "goto") return TokenKind::KwGoto; break;
+        default: break;
+      }
+      break;
+    case 5:
+      if (text == "short") return TokenKind::KwShort;
+      if (text == "const") return TokenKind::KwConst;
+      if (text == "while") return TokenKind::KwWhile;
+      if (text == "break") return TokenKind::KwBreak;
+      break;
+    case 6:
+      switch (text[0]) {
+        case 's':
+          if (text == "signed") return TokenKind::KwSigned;
+          if (text == "struct") return TokenKind::KwStruct;
+          if (text == "static") return TokenKind::KwStatic;
+          if (text == "switch") return TokenKind::KwSwitch;
+          if (text == "sizeof") return TokenKind::KwSizeof;
+          break;
+        case 'e': if (text == "extern") return TokenKind::KwExtern; break;
+        case 'r': if (text == "return") return TokenKind::KwReturn; break;
+        default: break;
+      }
+      break;
+    case 7:
+      if (text == "typedef") return TokenKind::KwTypedef;
+      if (text == "default") return TokenKind::KwDefault;
+      break;
+    case 8:
+      if (text == "unsigned") return TokenKind::KwUnsigned;
+      if (text == "continue") return TokenKind::KwContinue;
+      break;
+    default:
+      break;
+  }
+  return TokenKind::Identifier;
 }
 
 }  // namespace fsdep::lex

@@ -7,8 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "support/source_location.h"
 
@@ -47,15 +47,22 @@ const char* tokenKindName(TokenKind kind);
 /// Returns the keyword kind for `text`, or TokenKind::Identifier.
 TokenKind classifyIdentifier(std::string_view text);
 
+/// A token is a small value: its text is a view, never an owned copy.
+/// Identifier, number and literal text views the SourceManager the token
+/// was lexed from (a file buffer, or an interned copy for a string or
+/// char literal whose decoded value differs from its spelling);
+/// punctuation views the static spelling tokenKindName() returns. A token
+/// is therefore valid exactly as long as its SourceManager.
 struct Token {
-  TokenKind kind = TokenKind::Eof;
-  std::string text;          ///< spelling (identifier/literal text; op spelling)
-  SourceLoc loc;
-  bool start_of_line = false;
+  std::string_view text;       ///< identifier/number spelling, decoded literal, op spelling
   std::int64_t int_value = 0;  ///< for IntLiteral / CharLiteral
+  SourceLoc loc;
+  TokenKind kind = TokenKind::Eof;
+  bool start_of_line = false;
 
   [[nodiscard]] bool is(TokenKind k) const { return kind == k; }
   [[nodiscard]] bool isEof() const { return kind == TokenKind::Eof; }
 };
+static_assert(std::is_trivially_copyable_v<Token>, "tokens are copied by value");
 
 }  // namespace fsdep::lex

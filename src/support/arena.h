@@ -4,6 +4,12 @@
 // then frees them all at once: exactly the lifetime the pipeline has, and
 // exactly what malloc-per-node wastes time on at amplified-corpus scale.
 //
+// Blocks are sized to their owner: the first is small and each next one
+// doubles up to a cap, so the many owners that allocate a few hundred
+// bytes (most Cfgs) do not each pay for — and zero-fill — a full-size
+// block. A request above the cap gets a block of its own. Every block is
+// zero-filled when it is created.
+//
 // Lifetime rules (see DESIGN §10):
 //   * The arena only hands out raw storage; object destructors still run,
 //     via ArenaPtr (std::unique_ptr with a destroy-only deleter).
@@ -13,6 +19,7 @@
 //     no arena object is alive) or by destroying the arena.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -23,7 +30,8 @@ namespace fsdep {
 
 class Arena {
  public:
-  static constexpr std::size_t kDefaultBlockSize = 64 * 1024;
+  static constexpr std::size_t kFirstBlockSize = 2 * 1024;
+  static constexpr std::size_t kMaxBlockSize = 64 * 1024;
 
   Arena() = default;
   Arena(const Arena&) = delete;
@@ -31,13 +39,13 @@ class Arena {
   Arena(Arena&&) noexcept = default;
   Arena& operator=(Arena&&) noexcept = default;
 
-  /// Raw storage of `size` bytes aligned to `align`. Never returns null;
-  /// grows by whole blocks (oversized requests get a dedicated block).
+  /// Raw storage of `size` bytes aligned to `align` (a power of two, at
+  /// most alignof(std::max_align_t)). Never returns null; grows by whole
+  /// blocks.
   void* allocate(std::size_t size, std::size_t align) {
     std::size_t offset = (used_ + align - 1) & ~(align - 1);
     if (blocks_.empty() || offset + size > blocks_.back().size) {
-      const std::size_t block_size = size > kDefaultBlockSize ? size : kDefaultBlockSize;
-      blocks_.push_back(Block{std::make_unique<std::byte[]>(block_size), block_size});
+      addBlock(size);
       offset = 0;
     }
     used_ = offset + size;
@@ -53,10 +61,15 @@ class Arena {
     return new (allocate(sizeof(T), alignof(T))) T(std::forward<Args>(args)...);
   }
 
-  /// Drops every block but the first and rewinds it. Only legal when no
+  /// Keeps only the largest block and rewinds it. Only legal when no
   /// object allocated from this arena is still alive.
   void reset() {
-    if (blocks_.size() > 1) blocks_.erase(blocks_.begin() + 1, blocks_.end());
+    if (blocks_.size() > 1) {
+      const auto by_size = [](const Block& a, const Block& b) { return a.size < b.size; };
+      Block keep = std::move(*std::max_element(blocks_.begin(), blocks_.end(), by_size));
+      blocks_.clear();
+      blocks_.push_back(std::move(keep));
+    }
     used_ = 0;
     total_used_ = 0;
   }
@@ -69,9 +82,17 @@ class Arena {
     std::unique_ptr<std::byte[]> data;
     std::size_t size = 0;
   };
+
+  void addBlock(std::size_t min_size) {
+    const std::size_t size = std::max(next_block_size_, min_size);
+    blocks_.push_back(Block{std::make_unique<std::byte[]>(size), size});  // zero-filled
+    next_block_size_ = std::min(next_block_size_ * 2, kMaxBlockSize);
+  }
+
   std::vector<Block> blocks_;
   std::size_t used_ = 0;        ///< bump offset within blocks_.back()
   std::size_t total_used_ = 0;  ///< bytes handed out since last reset
+  std::size_t next_block_size_ = kFirstBlockSize;
 };
 
 /// Deleter that runs the destructor but returns no memory — the arena

@@ -9,11 +9,16 @@ FileId SourceManager::addBuffer(std::string name, std::string contents) {
   f.name = std::move(name);
   f.contents = std::move(contents);
   f.line_offsets.push_back(0);
-  for (std::size_t i = 0; i < f.contents.size(); ++i) {
-    if (f.contents[i] == '\n') f.line_offsets.push_back(i + 1);
+  for (std::size_t nl = f.contents.find('\n'); nl != std::string::npos;
+       nl = f.contents.find('\n', nl + 1)) {
+    f.line_offsets.push_back(nl + 1);
   }
   files_.push_back(std::move(f));
   return FileId{static_cast<std::uint32_t>(files_.size() - 1)};
+}
+
+std::string_view SourceManager::intern(std::string text) {
+  return interned_.emplace_back(std::move(text));
 }
 
 FileId SourceManager::findByName(std::string_view name) const {

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "obs/trace.h"
+
 namespace fsdep::taint::ir {
 
 namespace {
@@ -325,7 +327,12 @@ std::shared_ptr<const CompiledFunction> IrCache::getOrCompile(const ast::Functio
     const auto it = map_.find(&fn);
     if (it != map_.end()) return it->second;
   }
-  auto compiled = compile(fn);
+  std::shared_ptr<const CompiledFunction> compiled;
+  {
+    obs::Span span("taint", "ir_compile");
+    span.arg("function", fn.name);
+    compiled = compile(fn);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = map_.emplace(&fn, std::move(compiled));
   return it->second;

@@ -4,8 +4,10 @@
 // consistent under arbitrary valid operation sequences.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
+#include "ast/dump.h"
 #include "ast/parser.h"
 #include "fsim/defrag.h"
 #include "fsim/fsck.h"
@@ -160,6 +162,93 @@ TEST_P(FrontendFuzz, RandomBytesNeverCrashTheLexer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FrontendFuzz, ::testing::Values(3u, 17u, 256u, 4096u));
+
+// The parser's nesting budget bounds the AST, and with it the recursion
+// of every later pass. For each shape of nesting, the deepest input the
+// parser accepts must go through sema, CFG build, IR lowering, the taint
+// analysis and exprToString (under the sanitizer build too, whose frames
+// are larger).
+TEST(FrontendDepth, DeepestAcceptedInputsRunThroughTheWholePipeline) {
+  const auto repeat = [](int n, const std::string& piece) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += piece;
+    return out;
+  };
+  using Shape = std::string (*)(int, decltype(repeat)&);
+  const Shape shapes[] = {
+      [](int n, decltype(repeat)& r) {
+        return "long f(long a) { return " + r(n, "(") + "a" + r(n, ")") + "; }";
+      },
+      [](int n, decltype(repeat)& r) { return "long f(long a) { return " + r(n, "- ") + "a; }"; },
+      [](int n, decltype(repeat)& r) {
+        return "long f(long a) { return " + r(n, "-(") + "a" + r(n, ")") + "; }";
+      },
+      [](int n, decltype(repeat)& r) {
+        return "long f(long a) { long b; " + r(n, "b = ") + "a; return b; }";
+      },
+      [](int n, decltype(repeat)& r) {
+        return "long f(long a) { return " + r(n, "a ? a : ") + "a; }";
+      },
+      [](int n, decltype(repeat)& r) {
+        return "long f(long a) { long b = 0; " + r(n, "{ ") + "b = a;" + r(n, " }") +
+               " return b; }";
+      },
+      [](int n, decltype(repeat)& r) {
+        return "long f(long a) { long b = 0; " + r(n, "if (a) ") + "b = a; return b; }";
+      },
+      [](int n, decltype(repeat)& r) {
+        return "long f(long a) { long b = 0; if (a) b = 1;" + r(n, " else if (a) b = a;") +
+               " return b; }";
+      },
+  };
+  for (const Shape shape : shapes) {
+    const auto parses = [&](int n, std::unique_ptr<ast::TranslationUnit>* keep,
+                            SourceManager& sm, DiagnosticEngine& diags) {
+      const FileId file = sm.addBuffer("deep.c", shape(n, repeat));
+      lex::Lexer lexer(sm, file, diags);
+      ast::Parser parser(lexer.lexAll(), diags);
+      auto tu = parser.parseTranslationUnit("deep.c");
+      if (keep != nullptr) *keep = std::move(tu);
+      return !diags.hasErrors();
+    };
+    int lo = 1;  // accepted
+    int hi = 2 * ast::Parser::kMaxNesting;  // rejected
+    {
+      SourceManager sm;
+      DiagnosticEngine diags;
+      ASSERT_FALSE(parses(hi, nullptr, sm, diags));
+    }
+    while (hi - lo > 1) {
+      const int mid = lo + (hi - lo) / 2;
+      SourceManager sm;
+      DiagnosticEngine diags;
+      (parses(mid, nullptr, sm, diags) ? lo : hi) = mid;
+    }
+    SourceManager sm;
+    DiagnosticEngine diags;
+    std::unique_ptr<ast::TranslationUnit> tu;
+    ASSERT_TRUE(parses(lo, &tu, sm, diags)) << shape(1, repeat);
+    sema::Sema sema(*tu, diags);
+    ASSERT_TRUE(sema.run()) << diags.render(sm);
+    for (const bool inter : {false, true}) {
+      for (const bool compile_ir : {true, false}) {  // IR executor and the AST walk
+        taint::AnalysisOptions options;
+        options.inter_procedural = inter;
+        options.compile_ir = compile_ir;
+        taint::Analyzer analyzer(*tu, sema, options);
+        analyzer.addSeed({"f", "a", "deep.a"});
+        analyzer.run();
+        const taint::FunctionTaint* ft = analyzer.resultFor("f");
+        ASSERT_NE(ft, nullptr);
+        EXPECT_FALSE(ft->return_labels.empty()) << shape(1, repeat) << " depth " << lo;
+      }
+    }
+    const ast::FunctionDecl* fn = tu->findFunction("f");
+    ASSERT_NE(fn, nullptr);
+    const std::string dump = ast::dumpDecl(*fn);
+    EXPECT_FALSE(dump.empty());
+  }
+}
 
 // ---------------------------------------------------------------------
 // Taint property: synthesized dataflow chains

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "lex/lexer.h"
 
 namespace fsdep::lex {
@@ -37,6 +39,22 @@ TEST(Lexer, Keywords) {
   EXPECT_EQ(tokens[7].kind, TokenKind::KwSizeof);
 }
 
+TEST(Lexer, EveryKeywordAndItsNearMisses) {
+  for (int k = static_cast<int>(TokenKind::KwVoid); k <= static_cast<int>(TokenKind::KwGoto); ++k) {
+    const auto kind = static_cast<TokenKind>(k);
+    const std::string word = tokenKindName(kind);
+    const std::string capitalized = static_cast<char>(word[0] - 'a' + 'A') + word.substr(1);
+    const auto tokens = lexText(word + " " + word + "_ " + word.substr(0, word.size() - 1) + " _" +
+                                word + " " + capitalized);
+    ASSERT_EQ(tokens.size(), 5u) << word;
+    EXPECT_EQ(tokens[0].kind, kind) << word;
+    EXPECT_EQ(tokens[0].text, word);
+    for (std::size_t i = 1; i < tokens.size(); ++i) {
+      EXPECT_EQ(tokens[i].kind, TokenKind::Identifier) << tokens[i].text;
+    }
+  }
+}
+
 TEST(Lexer, IntegerLiterals) {
   const auto tokens = lexText("0 42 0x1F 0755 100UL 7u");
   ASSERT_EQ(tokens.size(), 6u);
@@ -64,6 +82,32 @@ TEST(Lexer, StringLiterals) {
   EXPECT_EQ(tokens[0].text, "hello");
   EXPECT_EQ(tokens[1].text, "a\tb");
   EXPECT_EQ(tokens[2].text, "");
+}
+
+TEST(Lexer, LiteralTextIsTheDecodedValue) {
+  SourceManager sm;
+  DiagnosticEngine diags;
+  const std::string source = R"("plain" "esc\"aped\\" 'q' '\t' '\0' 42u)";
+  const FileId file = sm.addBuffer("lit.c", source);
+  const auto tokens = Lexer(sm, file, diags).lexAll();
+  ASSERT_EQ(tokens.size(), 6u);
+  EXPECT_FALSE(diags.hasErrors());
+  EXPECT_EQ(tokens[0].text, "plain");
+  EXPECT_EQ(tokens[1].text, "esc\"aped\\");
+  EXPECT_EQ(tokens[2].text, "q");
+  EXPECT_EQ(tokens[3].text, "\t");
+  EXPECT_EQ(tokens[4].text, std::string(1, '\0'));
+  EXPECT_EQ(tokens[5].text, "42u");
+  // Text equal to its spelling views the file; decoded text does not.
+  const std::string_view buffer = sm.contents(file);
+  const auto inBuffer = [&](std::string_view text) {
+    return text.data() >= buffer.data() && text.data() < buffer.data() + buffer.size();
+  };
+  EXPECT_TRUE(inBuffer(tokens[0].text));
+  EXPECT_FALSE(inBuffer(tokens[1].text));
+  EXPECT_TRUE(inBuffer(tokens[2].text));
+  EXPECT_FALSE(inBuffer(tokens[3].text));
+  EXPECT_TRUE(inBuffer(tokens[5].text));
 }
 
 TEST(Lexer, OperatorsMaximalMunch) {
@@ -136,6 +180,7 @@ TEST_P(LexerOperatorRoundTrip, SpellingLexesToKind) {
   const auto tokens = lexText(tokenKindName(kind));
   ASSERT_EQ(tokens.size(), 1u) << tokenKindName(kind);
   EXPECT_EQ(tokens[0].kind, kind);
+  EXPECT_EQ(tokens[0].text, tokenKindName(kind));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ast/dump.h"
 #include "ast/parser.h"
 #include "lex/lexer.h"
@@ -236,6 +239,51 @@ TEST(Parser, AdjacentStringLiteralsConcatenate) {
   EXPECT_FALSE(p.had_errors);
   const std::string dump = dumpDecl(*p.tu->decls.at(0));
   EXPECT_NE(dump.find("\"abcdef\""), std::string::npos);
+}
+
+/// Parses `text` and returns its diagnostics (the unit is dropped).
+std::vector<Diagnostic> parseDiagnostics(const std::string& text) {
+  SourceManager sm;
+  DiagnosticEngine diags;
+  const FileId file = sm.addBuffer("deep.c", text);
+  lex::Lexer lexer(sm, file, diags);
+  Parser parser(lexer.lexAll(), diags);
+  (void)parser.parseTranslationUnit("deep.c");
+  return diags.diagnostics();
+}
+
+TEST(Parser, NestingBeyondTheBudgetIsOneDiagnostic) {
+  const int depth = 10000;
+  const std::string inputs[] = {
+      "int f(int a) { return " + std::string(depth, '(') + "a" + std::string(depth, ')') + "; }",
+      "int f(int a) { return " + std::string(depth, '!') + "a; }",
+      "void f(void) " + std::string(depth, '{') + std::string(depth, '}'),
+      "void f(int a) { " + [] {
+        std::string chain;
+        for (int i = 0; i < depth; ++i) chain += "a = ";
+        return chain;
+      }() + "1; }",
+  };
+  for (const std::string& input : inputs) {
+    const std::vector<Diagnostic> diags = parseDiagnostics(input + "\nint after;");
+    ASSERT_EQ(diags.size(), 1u) << input.substr(0, 40);
+    EXPECT_NE(diags[0].message.find("nesting too deep"), std::string::npos) << diags[0].message;
+    EXPECT_EQ(diags[0].loc.line, 1u);
+  }
+}
+
+TEST(Parser, NestingWithinTheBudgetParses) {
+  // A parenthesized expression takes three levels (assignment,
+  // conditional, unary); the function body's statement takes one more.
+  const int parens = (Parser::kMaxNesting - 1) / 3 - 1;
+  const auto p = parseText("int f(int a) { return " + std::string(parens, '(') + "a" +
+                           std::string(parens, ')') + "; }");
+  EXPECT_FALSE(p.had_errors);
+  const std::vector<Diagnostic> over = parseDiagnostics(
+      "int f(int a) { return " + std::string(parens + 1, '(') + "a" + std::string(parens + 1, ')') +
+      "; }");
+  ASSERT_EQ(over.size(), 1u);
+  EXPECT_NE(over[0].message.find("nesting too deep"), std::string::npos);
 }
 
 }  // namespace

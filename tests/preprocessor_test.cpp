@@ -147,5 +147,48 @@ TEST(Preprocessor, HashInsideLineIsNotADirective) {
   EXPECT_EQ(spelling(r.tokens), "int a ; # define_not_really int b ;");
 }
 
+TEST(Preprocessor, IncludeFromASmallFileKeepsReadingTheIncluder) {
+  // 15 bytes: the includer's buffer lives inside its std::string. The
+  // include adds a file while the includer's lexer still reads it.
+  SourceManager sm;
+  DiagnosticEngine diags;
+  const std::string main_text = "#include\"a\"\nx y";
+  ASSERT_EQ(main_text.size(), 15u);
+  const FileId file = sm.addBuffer("main.c", main_text);
+  Preprocessor pp(sm, diags, [](std::string_view name) -> std::optional<std::string> {
+    if (name == "a") return std::string("int h;\n");
+    return std::nullopt;
+  });
+  const std::vector<Token> tokens = pp.tokenize(file);
+  EXPECT_FALSE(diags.hasErrors());
+  EXPECT_EQ(spelling(tokens), "int h ; x y");
+}
+
+TEST(Preprocessor, TokensOutliveThePreprocessorAndItsLexers) {
+  SourceManager sm;
+  std::vector<Token> tokens;
+  {
+    DiagnosticEngine diags;
+    const FileId file = sm.addBuffer(
+        "life.c", "#define SELF SELF\nident = SELF + PRE; s = \"a\\tb\"; c = '\\n';");
+    Preprocessor pp(sm, diags, nullptr);
+    pp.defineMacro("PRE", "predefined_value");
+    tokens = pp.tokenize(file);
+    ASSERT_FALSE(diags.hasErrors());
+  }
+  // Recycle the heap the Preprocessor and its Lexers freed.
+  std::vector<std::string> churn;
+  for (int i = 0; i < 256; ++i) churn.emplace_back(48, '#');
+  ASSERT_EQ(tokens.size(), 14u);
+  EXPECT_EQ(tokens[0].text, "ident");
+  EXPECT_EQ(tokens[2].text, "SELF");  // self-referential: stays an identifier
+  EXPECT_EQ(tokens[2].kind, TokenKind::Identifier);
+  EXPECT_EQ(tokens[4].text, "predefined_value");  // from a predefined macro
+  EXPECT_EQ(tokens[8].text, "a\tb");  // escaped string literal, decoded
+  EXPECT_EQ(tokens[12].text, "\n");  // char escape, decoded
+  EXPECT_EQ(tokens[12].int_value, '\n');
+  EXPECT_EQ(spelling(tokens), "ident = SELF + predefined_value ; s = a\tb ; c = \n ;");
+}
+
 }  // namespace
 }  // namespace fsdep::lex

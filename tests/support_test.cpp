@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "support/arena.h"
 #include "support/diagnostics.h"
 #include "support/result.h"
 #include "support/source_manager.h"
@@ -99,6 +106,106 @@ TEST(SourceManager, FormatLoc) {
   const FileId f = sm.addBuffer("x.c", "abc");
   EXPECT_EQ(formatLoc(sm, SourceLoc{f, 3, 7}), "x.c:3:7");
   EXPECT_EQ(formatLoc(sm, SourceLoc{}), "<unknown>");
+}
+
+TEST(SourceManager, BuffersKeepTheirAddressAsFilesAreAdded) {
+  // Tokens and lexers view buffers while an #include adds more; a
+  // 10-byte buffer lives inside its std::string, so it moves with it.
+  SourceManager sm;
+  const FileId small = sm.addBuffer("small.c", "int x = 1;");
+  const char* const data = sm.contents(small).data();
+  for (int i = 0; i < 1000; ++i) sm.addBuffer("more" + std::to_string(i) + ".h", "int y;");
+  EXPECT_EQ(sm.contents(small).data(), data);
+  EXPECT_EQ(sm.contents(small), "int x = 1;");
+}
+
+TEST(SourceManager, InternedTextLivesAsLongAsTheManager) {
+  SourceManager sm;
+  const std::string_view a = sm.intern("a\nb");
+  const char* const data = a.data();
+  for (int i = 0; i < 1000; ++i) sm.intern(std::string(1 + i % 20, 'x'));
+  EXPECT_EQ(a.data(), data);
+  EXPECT_EQ(a, "a\nb");
+  EXPECT_EQ(sm.intern(std::string(1, '\0')).size(), 1u);
+}
+
+TEST(Arena, AlignsMixedSizeAllocations) {
+  Arena arena;
+  const std::size_t aligns[] = {1, 2, 4, 8, 16};
+  for (int i = 0; i < 4000; ++i) {
+    const std::size_t align = aligns[i % 5];
+    const std::size_t size = 1 + (i * 7) % 61;
+    const auto p = reinterpret_cast<std::uintptr_t>(arena.allocate(size, align));
+    EXPECT_EQ(p % align, 0u) << "allocation " << i;
+  }
+  EXPECT_GT(arena.blockCount(), 1u);
+}
+
+TEST(Arena, BlocksDoubleUpToTheCap) {
+  Arena arena;
+  EXPECT_EQ(arena.blockCount(), 0u);
+  // Fill each block to its last byte: one more byte opens the next
+  // block, which holds exactly twice as much, until the cap; after that
+  // every block holds exactly the cap.
+  std::size_t block = Arena::kFirstBlockSize;
+  for (std::size_t i = 1; i <= 10; ++i) {
+    arena.allocate(1, 1);
+    EXPECT_EQ(arena.blockCount(), i);
+    arena.allocate(block - 1, 1);
+    EXPECT_EQ(arena.blockCount(), i) << "block " << i << " holds " << block << " bytes";
+    block = std::min(block * 2, Arena::kMaxBlockSize);
+  }
+  EXPECT_EQ(block, Arena::kMaxBlockSize);
+  arena.allocate(1, 1);
+  EXPECT_EQ(arena.blockCount(), 11u);
+}
+
+TEST(Arena, RequestAboveTheCapGetsItsOwnBlock) {
+  Arena arena;
+  arena.allocate(16, 8);
+  const std::size_t big = 3 * Arena::kMaxBlockSize + 5;
+  auto* p = static_cast<unsigned char*>(arena.allocate(big, 8));
+  EXPECT_EQ(arena.blockCount(), 2u);
+  EXPECT_EQ(p[0], 0);
+  EXPECT_EQ(p[big - 1], 0);  // the whole request is usable and zero-filled
+  EXPECT_EQ(arena.bytesUsed(), 16 + big);
+  arena.allocate(1, 1);  // the dedicated block is full
+  EXPECT_EQ(arena.blockCount(), 3u);
+}
+
+TEST(Arena, ResetKeepsOnlyTheLargestBlock) {
+  Arena arena;
+  arena.allocate(Arena::kFirstBlockSize, 1);
+  const std::size_t big = 2 * Arena::kMaxBlockSize;
+  arena.allocate(big, 1);
+  arena.allocate(100, 1);
+  EXPECT_EQ(arena.blockCount(), 3u);
+  arena.reset();
+  EXPECT_EQ(arena.blockCount(), 1u);
+  EXPECT_EQ(arena.bytesUsed(), 0u);
+  arena.allocate(big, 1);  // fits the kept block exactly
+  EXPECT_EQ(arena.blockCount(), 1u);
+  EXPECT_EQ(arena.bytesUsed(), big);
+  arena.allocate(1, 1);
+  EXPECT_EQ(arena.blockCount(), 2u);
+}
+
+TEST(Arena, MakeRunsTheTypesOwnInitializers) {
+  struct Node {
+    int answer = 42;
+    const char* name = "node";
+    std::vector<int> items{1, 2, 3};
+  };
+  Arena arena;
+  // Dirty the block, then recycle it: make<T> must not rely on zeroes.
+  std::memset(arena.allocate(Arena::kFirstBlockSize, 1), 0xAB, Arena::kFirstBlockSize);
+  arena.reset();
+  ArenaPtr<Node> node(arena.make<Node>());
+  EXPECT_EQ(node->answer, 42);
+  EXPECT_STREQ(node->name, "node");
+  EXPECT_EQ(node->items, (std::vector<int>{1, 2, 3}));
+  ArenaPtr<std::string> text(arena.make<std::string>(3, 'z'));
+  EXPECT_EQ(*text, "zzz");
 }
 
 TEST(Diagnostics, CountsErrors) {

@@ -1,0 +1,90 @@
+// Golden digest of the preprocessed token stream. Each digest is
+// corpus::contentDigest over one line per token — kind, text, file,
+// line, column, start_of_line, int_value — for the stream the component
+// cache parses (same SourceManager set-up, same header resolver).
+// Recorded from the lexer that owned one std::string per token, before
+// tokens became views; any change to a digest is a change in what the
+// parser sees. The corpus has no escapes and no `//` comments, so
+// lexer_test and preprocessor_test cover those paths.
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "corpus/amplify.h"
+#include "corpus/corpus.h"
+#include "corpus/disk_cache.h"
+#include "lex/preprocessor.h"
+
+namespace fsdep::corpus {
+namespace {
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
+  return buf;
+}
+
+/// "amp<digits>_" becomes "amp_" (see inter_golden_test), so the digest
+/// depends only on the corpus options, not the generation counter.
+std::string withoutGeneration(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    out.push_back(text[i]);
+    if (text.compare(i, 3, "amp") != 0) continue;
+    std::size_t j = i + 3;
+    while (j < text.size() && text[j] >= '0' && text[j] <= '9') ++j;
+    if (j > i + 3 && j < text.size() && text[j] == '_') {
+      out += "mp";
+      i = j - 1;  // resume at the '_'
+    }
+  }
+  return out;
+}
+
+/// Appends one line per token of `component`'s preprocessed stream.
+void appendTokenStream(const std::string& component, std::string& out) {
+  SourceManager sm;
+  DiagnosticEngine diags;
+  const FileId file = sm.addBuffer(component + ".c", std::string(componentSource(component)));
+  lex::Preprocessor pp(sm, diags, [](std::string_view header) { return headerSource(header); });
+  const std::vector<lex::Token> tokens = pp.tokenize(file);
+  ASSERT_FALSE(diags.hasErrors()) << component;
+  out += component + " " + std::to_string(tokens.size()) + "\n";
+  for (const lex::Token& t : tokens) {
+    out += std::to_string(static_cast<int>(t.kind)) + " " + std::to_string(t.text.size()) + ":";
+    out += t.text;
+    out += " " + std::to_string(t.loc.file.value) + " " + std::to_string(t.loc.line) + " " +
+           std::to_string(t.loc.column) + " " + (t.start_of_line ? "1" : "0") + " " +
+           std::to_string(t.int_value) + "\n";
+  }
+}
+
+// Every Ext4, XFS and BtrFS seed component, in registry order.
+constexpr std::uint64_t kSeedStream = 0x009a180022363f7dull;
+// Factor 5, seed 42: every amplified component, in corpus order.
+constexpr std::uint64_t kAmplifiedStream = 0xcf4a65d103cced22ull;
+
+TEST(TokenGolden, SeedComponents) {
+  std::vector<std::string> names = componentNames();
+  for (const std::string& n : xfsComponentNames()) names.push_back(n);
+  for (const std::string& n : btrfsComponentNames()) names.push_back(n);
+  ASSERT_EQ(names.size(), 12u);
+  std::string stream;
+  for (const std::string& name : names) appendTokenStream(name, stream);
+  EXPECT_EQ(hex(contentDigest(stream)), hex(kSeedStream));
+}
+
+TEST(TokenGolden, AmplifiedCorpus) {
+  std::string stream;
+  for (const std::string& name : amplifyCorpus({.factor = 5, .seed = 42})) {
+    appendTokenStream(name, stream);
+  }
+  EXPECT_EQ(hex(contentDigest(withoutGeneration(stream))), hex(kAmplifiedStream));
+}
+
+}  // namespace
+}  // namespace fsdep::corpus
