@@ -52,6 +52,22 @@ struct TypeSpec {
   [[nodiscard]] std::string spelling() const;
 };
 
+/// An expression's type as sema resolved it: a TypeSpec with typedefs
+/// flattened away, written into the node (like DeclRefExpr::decl) in 24
+/// bytes. It owns nothing: `name` points at the TypeSpec::name it was
+/// resolved from, which the translation unit keeps alive.
+struct ExprType {
+  const std::string* name = nullptr;  ///< null for types sema built itself
+  std::int64_t array_size = 0;
+  std::int32_t pointer_depth = 0;
+  BaseTypeKind base = BaseTypeKind::Int;
+  bool is_unsigned : 1 = false;
+  bool is_const : 1 = false;
+  bool is_array : 1 = false;
+  bool resolved : 1 = false;  ///< set once sema has typed the expression
+};
+static_assert(sizeof(ExprType) == 24);
+
 // ---------------------------------------------------------------------------
 // Expressions
 // ---------------------------------------------------------------------------
@@ -84,6 +100,8 @@ class Expr {
   virtual ~Expr() = default;
   [[nodiscard]] ExprKind kind() const { return kind_; }
   SourceLoc loc;
+  /// Filled by sema.
+  ExprType sema_type;
 
  protected:
   explicit Expr(ExprKind kind) : kind_(kind) {}

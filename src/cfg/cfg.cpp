@@ -7,19 +7,20 @@ namespace fsdep::cfg {
 using namespace ast;
 
 BlockId Cfg::newBlock() {
-  ArenaPtr<BasicBlock> b(arena_.make<BasicBlock>());
+  BasicBlock* b = arena_.make<BasicBlock>();
   b->id = static_cast<BlockId>(blocks_.size());
-  blocks_.push_back(std::move(b));
-  return blocks_.back()->id;
+  blocks_.push_back(arena_, b);
+  return b->id;
 }
 
 void Cfg::addEdge(BlockId from, BlockId to, EdgeKind kind, std::int64_t case_value) {
-  blocks_[from]->successors.push_back(Edge{to, kind, case_value});
-  blocks_[to]->predecessors.push_back(from);
+  blocks_[from]->successors.push_back(arena_, Edge{to, kind, case_value});
+  blocks_[to]->predecessors.push_back(arena_, from);
 }
 
 std::vector<BlockId> Cfg::reversePostOrder() const {
   std::vector<BlockId> post;
+  post.reserve(blocks_.size());
   std::vector<bool> visited(blocks_.size(), false);
   // Iterative DFS to avoid deep recursion on long chains.
   struct Frame {
@@ -27,6 +28,7 @@ std::vector<BlockId> Cfg::reversePostOrder() const {
     std::size_t next_succ;
   };
   std::vector<Frame> stack;
+  stack.reserve(blocks_.size());
   stack.push_back(Frame{entry_, 0});
   visited[entry_] = true;
   while (!stack.empty()) {
@@ -49,7 +51,7 @@ std::vector<BlockId> Cfg::reversePostOrder() const {
 
 std::string Cfg::dump() const {
   std::string out;
-  for (const auto& b : blocks_) {
+  for (const BasicBlock* b : blocks_) {
     out += "B" + std::to_string(b->id);
     if (b->id == entry_) out += " (entry)";
     if (b->is_exit) out += " (exit)";
@@ -130,11 +132,11 @@ class Builder {
       case StmtKind::Decl:
       case StmtKind::Expr:
         ensureCurrent();
-        cfg_.block(current_).stmts.push_back(&stmt);
+        cfg_.addStmt(current_, &stmt);
         break;
       case StmtKind::Return:
         ensureCurrent();
-        cfg_.block(current_).stmts.push_back(&stmt);
+        cfg_.addStmt(current_, &stmt);
         cfg_.block(current_).is_exit = true;
         current_ = kInvalidBlock;
         break;
@@ -328,8 +330,8 @@ std::unique_ptr<Cfg> Cfg::build(const FunctionDecl& fn) {
   builder.run(fn);
   // Guarantee at least one exit block.
   bool has_exit = false;
-  for (const auto& b : cfg->blocks_) has_exit |= b->is_exit;
-  if (!has_exit && !cfg->blocks_.empty()) cfg->blocks_.back()->is_exit = true;
+  for (const BasicBlock* b : cfg->blocks_) has_exit |= b->is_exit;
+  if (!has_exit && !cfg->blocks_.empty()) cfg->blocks_[cfg->blocks_.size() - 1]->is_exit = true;
   return cfg;
 }
 

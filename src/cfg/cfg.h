@@ -29,10 +29,13 @@ struct Edge {
   std::int64_t case_value = 0;
 };
 
+/// A block's lists live in the owning Cfg's arena (append through
+/// Cfg::addStmt / Cfg::addEdge), so building a graph makes no heap
+/// allocation per statement or edge.
 struct BasicBlock {
   BlockId id = kInvalidBlock;
   /// Straight-line statements: DeclStmt / ExprStmt / ReturnStmt.
-  std::vector<const ast::Stmt*> stmts;
+  ArenaVector<const ast::Stmt*> stmts;
   /// A for-loop increment expression evaluated in this block (the builder
   /// gives each for-loop a dedicated increment block).
   const ast::Expr* inc_expr = nullptr;
@@ -43,8 +46,8 @@ struct BasicBlock {
   /// True when `condition` is a loop condition (while/do-while/for); the
   /// dependency extractor skips those for guard analysis.
   bool is_loop_condition = false;
-  std::vector<Edge> successors;
-  std::vector<BlockId> predecessors;
+  ArenaVector<Edge> successors;
+  ArenaVector<BlockId> predecessors;
   /// True when the block ends the function (return or falls off the end).
   bool is_exit = false;
 };
@@ -68,14 +71,14 @@ class Cfg {
   /// Low-level construction API, used by the builder and by tests that
   /// assemble graphs by hand.
   BlockId newBlock();
+  void addStmt(BlockId id, const ast::Stmt* stmt) { blocks_[id]->stmts.push_back(arena_, stmt); }
   void addEdge(BlockId from, BlockId to, EdgeKind kind, std::int64_t case_value = 0);
   void setEntry(BlockId id) { entry_ = id; }
 
  private:
-  /// Block storage; declared before blocks_ so the arena outlives the
-  /// ArenaPtrs whose destructors run on teardown.
+  /// Storage of the blocks and of every list in them.
   Arena arena_;
-  std::vector<ArenaPtr<BasicBlock>> blocks_;
+  ArenaVector<BasicBlock*> blocks_;
   BlockId entry_ = kInvalidBlock;
 };
 

@@ -355,6 +355,10 @@ struct AmpRegistry {
   // by amplifiedSource() stay valid until clear/re-amplify.
   std::map<std::string, AmpComponent> components;
   std::vector<std::string> names;
+  /// Superblock header of each ecosystem, generated at its first
+  /// #include and reused by every later one (sized at the first one, so
+  /// generating the corpus does no header work).
+  std::vector<std::string> headers;
 };
 
 AmpRegistry& registry() {
@@ -371,6 +375,7 @@ std::vector<std::string> amplifyCorpus(const AmplifyOptions& options) {
 
   reg.components.clear();
   reg.names.clear();
+  reg.headers.clear();
   ++reg.generation;  // new name prefix: stale cache entries can't alias
   reg.options = options;
   reg.active = true;
@@ -411,6 +416,7 @@ void clearAmplifiedCorpus() {
   const std::lock_guard<std::mutex> lock(reg.mu);
   reg.components.clear();
   reg.names.clear();
+  reg.headers.clear();
   reg.active = false;
 }
 
@@ -429,11 +435,9 @@ std::optional<std::string_view> amplifiedSource(std::string_view component) {
 }
 
 std::optional<std::string> amplifiedHeader(std::string_view name) {
-  AmpRegistry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mu);
   constexpr std::string_view kPrefix = "amp_sb_";
   constexpr std::string_view kSuffix = ".h";
-  if (!reg.active || name.size() <= kPrefix.size() + kSuffix.size() ||
+  if (name.size() <= kPrefix.size() + kSuffix.size() ||
       name.substr(0, kPrefix.size()) != kPrefix ||
       name.substr(name.size() - kSuffix.size()) != kSuffix) {
     return std::nullopt;
@@ -445,10 +449,26 @@ std::optional<std::string> amplifiedHeader(std::string_view name) {
     if (c < '0' || c > '9') return std::nullopt;
     ecosystem = ecosystem * 10 + static_cast<std::size_t>(c - '0');
   }
-  if (ecosystem >= reg.options.factor) return std::nullopt;
-  // Generated on demand: header content depends only on the ecosystem
-  // index, so there is nothing to cache or invalidate.
-  return ampHeaderSource(ecosystem);
+  AmpRegistry& reg = registry();
+  int generation = 0;
+  {
+    const std::lock_guard<std::mutex> lock(reg.mu);
+    if (!reg.active || ecosystem >= reg.options.factor) return std::nullopt;
+    if (ecosystem < reg.headers.size() && !reg.headers[ecosystem].empty()) {
+      return reg.headers[ecosystem];
+    }
+    generation = reg.generation;
+  }
+  // Generated outside the lock (the content depends only on the
+  // ecosystem index), then kept for the next #include of the same header
+  // unless the corpus was regenerated meanwhile.
+  std::string header = ampHeaderSource(ecosystem);
+  const std::lock_guard<std::mutex> lock(reg.mu);
+  if (reg.active && reg.generation == generation) {
+    if (reg.headers.empty()) reg.headers.resize(reg.options.factor);
+    if (reg.headers[ecosystem].empty()) reg.headers[ecosystem] = header;
+  }
+  return header;
 }
 
 std::vector<taint::Seed> amplifiedSeeds(std::string_view component) {

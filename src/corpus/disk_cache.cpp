@@ -112,7 +112,8 @@ std::string DiskCache::entryPath(const CacheKey& key) const {
   return schemaDir() + "/" + key.hex() + ".entry";
 }
 
-std::optional<std::string> DiskCache::load(const CacheKey& key) {
+std::optional<std::string> DiskCache::load(const CacheKey& key,
+                                           const std::function<bool(std::string_view)>& accept) {
   static obs::Counter& hit_counter = obs::Registry::global().counter("cache.disk.hits");
   static obs::Counter& miss_counter = obs::Registry::global().counter("cache.disk.misses");
 
@@ -158,6 +159,7 @@ std::optional<std::string> DiskCache::load(const CacheKey& key) {
   if (static_cast<std::uint64_t>(in.gcount()) != payload_size || in.get() != EOF) {
     return miss();
   }
+  if (accept && !accept(payload)) return miss();
 
   hits_.fetch_add(1, std::memory_order_relaxed);
   hit_counter.add();

@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -106,8 +107,11 @@ class DiskCache {
 
   /// Returns the payload stored under `key`, or nullopt on any kind of
   /// absence: no entry, unreadable file, truncated or corrupt content,
-  /// schema or key mismatch. A hit refreshes the entry's LRU position.
-  std::optional<std::string> load(const CacheKey& key);
+  /// schema or key mismatch, or a payload `accept` (when given) rejects —
+  /// a caller that cannot decode what it stored sees, and counts, a miss.
+  /// A hit refreshes the entry's LRU position.
+  std::optional<std::string> load(const CacheKey& key,
+                                  const std::function<bool(std::string_view)>& accept = {});
 
   /// Persists `payload` under `key` (atomic temp-file + rename), then
   /// evicts least-recently-used entries beyond max_entries. Failures are

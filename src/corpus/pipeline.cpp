@@ -45,8 +45,7 @@ std::string encodeScenarioPayload(const std::vector<model::Dependency>& deps) {
   return json::writeCompact(model::toJson(deps));
 }
 
-std::optional<std::vector<model::Dependency>> decodeScenarioPayload(
-    const std::string& payload) {
+std::optional<std::vector<model::Dependency>> decodeScenarioPayload(std::string_view payload) {
   Result<json::Value> parsed = json::parse(payload);
   if (!parsed.ok()) return std::nullopt;
   Result<std::vector<model::Dependency>> deps = model::dependenciesFromJson(parsed.value());
@@ -197,21 +196,25 @@ std::vector<model::Dependency> runScenario(const Scenario& scenario,
 
   // Warm path: an unchanged scenario loads its result straight from the
   // on-disk cache — no parse, sema, taint or extraction at all. A
-  // corrupt or undecodable payload degrades to a recompute (and the
-  // store below overwrites the bad entry).
+  // corrupt or undecodable payload is a miss and degrades to a recompute
+  // (and the store below overwrites the bad entry).
   DiskCache& disk = DiskCache::global();
   const bool disk_enabled = pipeline.use_disk_cache && disk.enabled();
   CacheKey key;
   if (disk_enabled) {
     key = scenarioCacheKey(scenario, taint_options, options);
-    if (std::optional<std::string> payload = disk.load(key)) {
-      if (std::optional<std::vector<model::Dependency>> deps =
-              decodeScenarioPayload(*payload)) {
-        span.arg("disk_cache", "hit");
-        return *std::move(deps);
+    std::optional<std::vector<model::Dependency>> cached;
+    const auto decode = [&](std::string_view payload) {
+      cached = decodeScenarioPayload(payload);
+      if (!cached) {
+        FSDEP_LOG_WARN("cache", "disk cache: undecodable payload for scenario %s; recomputing",
+                       scenario.id.c_str());
       }
-      FSDEP_LOG_WARN("cache", "disk cache: undecodable payload for scenario %s; recomputing",
-                     scenario.id.c_str());
+      return cached.has_value();
+    };
+    if (disk.load(key, decode)) {
+      span.arg("disk_cache", "hit");
+      return *std::move(cached);
     }
   }
 
@@ -247,9 +250,10 @@ Table5Result runTable5(const taint::AnalysisOptions& taint_options,
   if (disk_enabled) {
     for (std::size_t s = 0; s < scenario_list.size(); ++s) {
       keys[s] = scenarioCacheKey(scenario_list[s], taint_options, options);
-      if (std::optional<std::string> payload = disk.load(keys[s])) {
-        cached[s] = decodeScenarioPayload(*payload);
-      }
+      disk.load(keys[s], [&](std::string_view payload) {
+        cached[s] = decodeScenarioPayload(payload);
+        return cached[s].has_value();
+      });
     }
   }
 

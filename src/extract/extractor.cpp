@@ -164,7 +164,8 @@ void collectWriters(const ComponentRun& comp, const ExtractOptions& options,
     const std::int64_t mask = writeMask(*e, *comp.sema);
     for (const taint::LabelId id : e->labels) {
       if (!labels.isParam(id)) continue;
-      out.writers.push_back(FieldWriter{e->field_key, std::string(labels.payload(id)), mask});
+      out.writers.push_back(
+          FieldWriter{std::string(e->field_key), std::string(labels.payload(id)), mask});
     }
   }
 }
@@ -208,7 +209,7 @@ class ComponentRules {
   void extractSdTypes() {
     for (const taint::WriteEvent* e : out_.events) {
       if (e->is_field || e->rhs_callee.empty()) continue;
-      const auto type_it = options_.parser_types.find(e->rhs_callee);
+      const auto type_it = options_.parser_types.find(std::string(e->rhs_callee));
       if (type_it == options_.parser_types.end()) continue;
       std::vector<std::string> params;
       for (const taint::LabelId id : e->labels) {
@@ -221,8 +222,9 @@ class ComponentRules {
       dep.param = params[0];
       dep.type_name = type_it->second;
       dep.id = "sd-type-" + slug(dep.param);
-      dep.description = dep.param + " must parse as " + dep.type_name + " (via " +
-                        e->rhs_callee + "())";
+      dep.description = dep.param + " must parse as " + dep.type_name + " (via ";
+      dep.description += e->rhs_callee;
+      dep.description += "())";
       dep.evidence = SourceRange{e->loc, e->loc};
       attachTrace(dep, e->object);
       emit(std::move(dep));
@@ -488,7 +490,8 @@ class ComponentRules {
           for (const FieldWriter* w : writers_.writersOf(key, kAllBits)) {
             if (componentOf(w->param) == componentOf(p)) continue;
             emitBehavioral(p, w->param, key,
-                           e->object + " is derived from both " + p + " and " + key, e->loc);
+                           std::string(e->object) + " is derived from both " + p + " and " + key,
+                           e->loc);
           }
         }
       }
@@ -667,11 +670,12 @@ class ComponentRules {
     }
   }
 
-  void attachTrace(Dependency& dep, const std::string& object) const {
+  void attachTrace(Dependency& dep, std::string_view object) const {
     if (const auto* trace = comp_.analyzer->traceFor(object)) {
       dep.trace.reserve(trace->size());
       for (const taint::TraceStep& step : *trace) {
-        dep.trace.push_back("L" + std::to_string(step.loc.line) + ": " + step.text);
+        dep.trace.push_back("L" + std::to_string(step.loc.line) + ": ");
+        dep.trace.back() += step.text;
       }
     }
   }

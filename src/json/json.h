@@ -91,7 +91,13 @@ class Value {
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object> data_;
 };
 
-/// Parses a JSON document. Strict: trailing garbage is an error.
+/// Arrays and objects nest at most this deep in a parsed document. The
+/// parser recurses once per level, so the budget bounds its stack (and
+/// the recursive destruction of the value) whatever the input.
+inline constexpr std::size_t kMaxDepth = 512;
+
+/// Parses a JSON document. Strict: trailing garbage is an error, and so
+/// is nesting deeper than kMaxDepth ("nesting too deep").
 Result<Value> parse(std::string_view text);
 
 /// Serializes with 2-space indentation and a trailing newline.

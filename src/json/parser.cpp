@@ -24,8 +24,17 @@ class Parser {
   Result<Value> parseValue() {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          return fail("nesting too deep: more than " + std::to_string(kMaxDepth) +
+                      " levels of arrays and objects");
+        }
+        ++depth_;
+        Result<Value> value = text_[pos_] == '{' ? parseObject() : parseArray();
+        --depth_;
+        return value;
+      }
       case '"': return parseString();
       case 't': return parseKeyword("true", Value(true));
       case 'f': return parseKeyword("false", Value(false));
@@ -196,6 +205,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace

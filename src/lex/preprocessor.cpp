@@ -1,7 +1,5 @@
 #include "lex/preprocessor.h"
 
-#include <algorithm>
-
 namespace fsdep::lex {
 
 Preprocessor::Preprocessor(SourceManager& sm, DiagnosticEngine& diags, IncludeResolver resolver)
@@ -149,37 +147,48 @@ void Preprocessor::processFile(FileId file, std::vector<Token>& out, int depth) 
 }
 
 void Preprocessor::emitToken(const Token& token, std::vector<Token>& out) {
-  if (token.is(TokenKind::Identifier) && macros_.contains(token.text)) {
-    std::vector<std::string_view> expanding;
-    expandMacro(token.text, token.loc, out, expanding);
-    return;
+  if (token.is(TokenKind::Identifier)) {
+    if (const auto it = macros_.find(token.text); it != macros_.end()) {
+      expandMacro(it->second, token.loc, out);
+      return;
+    }
   }
   out.push_back(token);
 }
 
-void Preprocessor::expandMacro(std::string_view name, SourceLoc use_loc, std::vector<Token>& out,
-                               std::vector<std::string_view>& expanding) {
-  const auto it = macros_.find(name);
-  if (it == macros_.end() || std::ranges::find(expanding, name) != expanding.end()) {
-    // Self-referential macros stay as plain identifiers, like a real cpp.
-    Token t;
-    t.kind = TokenKind::Identifier;
-    t.text = name;
-    t.loc = use_loc;
-    out.push_back(t);
-    return;
-  }
-  expanding.push_back(name);
-  for (const Token& rep : it->second.replacement) {
-    if (rep.is(TokenKind::Identifier) && macros_.contains(rep.text)) {
-      expandMacro(rep.text, use_loc, out, expanding);
-    } else {
+void Preprocessor::expandMacro(Macro& macro, SourceLoc use_loc, std::vector<Token>& out) {
+  macro.expanding = true;
+  expansion_.push_back(ExpansionFrame{&macro, 0});
+  while (!expansion_.empty()) {
+    ExpansionFrame& frame = expansion_.back();
+    if (frame.next == frame.macro->replacement.size()) {
+      frame.macro->expanding = false;
+      expansion_.pop_back();
+      continue;
+    }
+    const Token& rep = frame.macro->replacement[frame.next++];
+    const auto it = rep.is(TokenKind::Identifier) ? macros_.find(rep.text) : macros_.end();
+    if (it == macros_.end()) {
       Token t = rep;
       t.loc = use_loc;  // report diagnostics at the use site
       out.push_back(t);
+    } else if (it->second.expanding) {
+      // A use inside its own expansion stays a plain identifier.
+      Token t;
+      t.kind = TokenKind::Identifier;
+      t.text = rep.text;
+      t.loc = use_loc;
+      out.push_back(t);
+    } else if (expansion_.size() == kMaxMacroDepth) {
+      diags_.error(use_loc, "macro expansion too deep: more than " +
+                                std::to_string(kMaxMacroDepth) + " nested macros");
+      for (const ExpansionFrame& open : expansion_) open.macro->expanding = false;
+      expansion_.clear();
+    } else {
+      it->second.expanding = true;
+      expansion_.push_back(ExpansionFrame{&it->second, 0});
     }
   }
-  expanding.pop_back();
 }
 
 }  // namespace fsdep::lex

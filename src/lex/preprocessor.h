@@ -6,6 +6,11 @@
 //
 // Output tokens view the SourceManager's bytes (lex/token.h), macro
 // expansions included, so they stay valid after the Preprocessor is gone.
+//
+// Expansion is iterative, with one frame per macro being expanded, and
+// macros nest at most kMaxMacroDepth deep: a deeper chain is reported once
+// ("macro expansion too deep") and the rest of that use's expansion is
+// dropped.
 #pragma once
 
 #include <functional>
@@ -39,15 +44,19 @@ class Preprocessor {
     return macros_.contains(name);
   }
 
+  static constexpr std::size_t kMaxMacroDepth = 1000;
+
  private:
   struct Macro {
     std::vector<Token> replacement;
+    /// Set while the macro is being expanded: a use of it inside its own
+    /// expansion stays a plain identifier, like a real cpp.
+    bool expanding = false;
   };
 
   void processFile(FileId file, std::vector<Token>& out, int depth);
   void emitToken(const Token& token, std::vector<Token>& out);
-  void expandMacro(std::string_view name, SourceLoc use_loc, std::vector<Token>& out,
-                   std::vector<std::string_view>& expanding);
+  void expandMacro(Macro& macro, SourceLoc use_loc, std::vector<Token>& out);
 
   /// Reads tokens until the end of the directive's line.
   static std::vector<Token> readDirectiveTail(Lexer& lexer, std::uint32_t line, Token& pending,
@@ -67,6 +76,14 @@ class Preprocessor {
     bool seen_else;
   };
   std::vector<Conditional> conditionals_;
+
+  /// The macros being expanded, innermost last, each with the index of
+  /// its next replacement token (reused across expansions).
+  struct ExpansionFrame {
+    Macro* macro;
+    std::size_t next;
+  };
+  std::vector<ExpansionFrame> expansion_;
 
   static constexpr int kMaxIncludeDepth = 16;
 };

@@ -63,58 +63,74 @@ void Sema::collectTopLevel() {
   }
 }
 
-SemType Sema::resolveTypedefs(const TypeSpec& type) const {
-  if (type.base != BaseTypeKind::Typedef) return type;
-  SemType out = type;
+namespace {
+
+/// The type a declared TypeSpec spells, before typedef resolution.
+ExprType typeFrom(const TypeSpec& spec) {
+  ExprType t;
+  t.name = &spec.name;
+  t.array_size = spec.array_size;
+  t.pointer_depth = spec.pointer_depth;
+  t.base = spec.base;
+  t.is_unsigned = spec.is_unsigned;
+  t.is_const = spec.is_const;
+  t.is_array = spec.is_array;
+  return t;
+}
+
+}  // namespace
+
+ExprType Sema::resolveTypedefs(const TypeSpec& type) const {
+  ExprType out = typeFrom(type);
   int guard = 0;
   while (out.base == BaseTypeKind::Typedef && guard++ < 16) {
-    const auto it = typedefs_.find(out.name);
+    const auto it = typedefs_.find(*out.name);
     if (it == typedefs_.end()) break;
-    const TypeSpec& under = it->second->underlying;
-    const int extra_pointers = out.pointer_depth;
-    const bool was_array = out.is_array;
-    const std::int64_t array_size = out.array_size;
-    out = under;
-    out.pointer_depth += extra_pointers;
-    if (was_array) {
+    const ExprType outer = out;
+    out = typeFrom(it->second->underlying);
+    out.pointer_depth += outer.pointer_depth;
+    if (outer.is_array) {
       out.is_array = true;
-      out.array_size = array_size;
+      out.array_size = outer.array_size;
     }
   }
   return out;
 }
 
-void Sema::declareVar(VarDecl& var) {
-  if (scopes_.empty()) return;
-  scopes_.back().vars[var.name] = &var;
+void Sema::closeScope() {
+  scope_vars_.resize(scope_starts_.back());
+  scope_starts_.pop_back();
 }
 
-VarDecl* Sema::lookupVar(const std::string& name) {
-  for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-    const auto found = it->vars.find(name);
-    if (found != it->vars.end()) return found->second;
+void Sema::declareVar(VarDecl& var) {
+  if (!scope_starts_.empty()) scope_vars_.push_back(&var);
+}
+
+VarDecl* Sema::lookupVar(const std::string& name) const {
+  // Innermost first, and the latest declaration within a scope wins.
+  for (auto it = scope_vars_.rbegin(); it != scope_vars_.rend(); ++it) {
+    if ((*it)->name == name) return *it;
   }
   const auto g = globals_.find(name);
   return g != globals_.end() ? g->second : nullptr;
 }
 
 void Sema::resolveFunction(FunctionDecl& fn) {
-  scopes_.clear();
-  scopes_.emplace_back();
+  openScope();
   for (auto& p : fn.params) {
     p->owner = &fn;
     declareVar(*p);
   }
   resolveStmt(*fn.body, fn);
-  scopes_.clear();
+  closeScope();
 }
 
 void Sema::resolveStmt(Stmt& stmt, FunctionDecl& fn) {
   switch (stmt.kind()) {
     case StmtKind::Compound: {
-      scopes_.emplace_back();
+      openScope();
       for (StmtPtr& s : static_cast<CompoundStmt&>(stmt).body) resolveStmt(*s, fn);
-      scopes_.pop_back();
+      closeScope();
       break;
     }
     case StmtKind::Decl: {
@@ -149,12 +165,12 @@ void Sema::resolveStmt(Stmt& stmt, FunctionDecl& fn) {
     }
     case StmtKind::For: {
       auto& s = static_cast<ForStmt&>(stmt);
-      scopes_.emplace_back();
+      openScope();
       if (s.init != nullptr) resolveStmt(*s.init, fn);
       if (s.cond != nullptr) resolveExpr(*s.cond);
       if (s.inc != nullptr) resolveExpr(*s.inc);
       resolveStmt(*s.body, fn);
-      scopes_.pop_back();
+      closeScope();
       break;
     }
     case StmtKind::Switch: {
@@ -224,18 +240,19 @@ void Sema::resolveExpr(Expr& expr) {
     case ExprKind::Member: {
       auto& m = static_cast<MemberExpr&>(expr);
       resolveExpr(*m.base);
-      SemType base_type = computeType(*m.base);
+      ExprType base_type = computeType(*m.base);
       if (m.is_arrow && base_type.pointer_depth > 0) --base_type.pointer_depth;
       if (base_type.base == BaseTypeKind::Struct && base_type.pointer_depth == 0) {
-        const auto rec = records_.find(base_type.name);
+        const std::string& record_name = *base_type.name;  // a Struct type is always spelled
+        const auto rec = records_.find(record_name);
         if (rec != records_.end()) {
           m.record = rec->second;
           m.field = rec->second->findField(m.member);
           if (m.field == nullptr) {
-            diags_.error(expr.loc, "no field '" + m.member + "' in struct " + base_type.name);
+            diags_.error(expr.loc, "no field '" + m.member + "' in struct " + record_name);
           }
         } else {
-          diags_.warning(expr.loc, "member access into unknown struct " + base_type.name);
+          diags_.warning(expr.loc, "member access into unknown struct " + record_name);
         }
       } else {
         diags_.warning(expr.loc, "member access on non-struct expression");
@@ -260,11 +277,10 @@ void Sema::resolveExpr(Expr& expr) {
   computeType(expr);
 }
 
-SemType Sema::computeType(Expr& expr) {
-  const auto cached = expr_types_.find(&expr);
-  if (cached != expr_types_.end()) return cached->second;
+ExprType Sema::computeType(Expr& expr) {
+  if (expr.sema_type.resolved) return expr.sema_type;
 
-  SemType type;  // defaults to int
+  ExprType type;  // defaults to int
   switch (expr.kind()) {
     case ExprKind::IntLiteral:
       type.base = BaseTypeKind::Long;
@@ -281,7 +297,7 @@ SemType Sema::computeType(Expr& expr) {
     }
     case ExprKind::Unary: {
       auto& u = static_cast<UnaryExpr&>(expr);
-      SemType inner = computeType(*u.operand);
+      ExprType inner = computeType(*u.operand);
       switch (u.op) {
         case UnaryOp::Deref:
           if (inner.pointer_depth > 0) --inner.pointer_depth;
@@ -313,8 +329,8 @@ SemType Sema::computeType(Expr& expr) {
       } else {
         // Usual arithmetic conversions, approximated: wider side wins;
         // pointer arithmetic keeps the pointer type.
-        SemType lhs = computeType(*b.lhs);
-        SemType rhs = computeType(*b.rhs);
+        const ExprType lhs = computeType(*b.lhs);
+        const ExprType rhs = computeType(*b.rhs);
         if (lhs.pointer_depth > 0 || lhs.is_array) type = lhs;
         else if (rhs.pointer_depth > 0 || rhs.is_array) type = rhs;
         else type = static_cast<int>(lhs.base) >= static_cast<int>(rhs.base) ? lhs : rhs;
@@ -339,7 +355,7 @@ SemType Sema::computeType(Expr& expr) {
     }
     case ExprKind::Index: {
       auto& i = static_cast<IndexExpr&>(expr);
-      SemType base = computeType(*i.base);
+      ExprType base = computeType(*i.base);
       if (base.is_array) {
         base.is_array = false;
         base.array_size = 0;
@@ -359,14 +375,23 @@ SemType Sema::computeType(Expr& expr) {
     case ExprKind::InitList:
       break;
   }
-  expr_types_[&expr] = type;
+  type.resolved = true;
+  expr.sema_type = type;
   return type;
 }
 
-std::optional<SemType> Sema::typeOf(const Expr& expr) const {
-  const auto it = expr_types_.find(&expr);
-  if (it == expr_types_.end()) return std::nullopt;
-  return it->second;
+std::optional<SemType> Sema::typeOf(const Expr& expr) {
+  const ExprType& t = expr.sema_type;
+  if (!t.resolved) return std::nullopt;
+  SemType out;
+  out.base = t.base;
+  out.is_unsigned = t.is_unsigned;
+  out.is_const = t.is_const;
+  if (t.name != nullptr) out.name = *t.name;
+  out.pointer_depth = t.pointer_depth;
+  out.is_array = t.is_array;
+  out.array_size = t.array_size;
+  return out;
 }
 
 std::optional<std::int64_t> Sema::foldConstant(const Expr& expr) const {

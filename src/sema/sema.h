@@ -1,9 +1,11 @@
 // Semantic analysis for the fsdep C subset: name resolution, member
 // binding, enum-constant folding, and just enough type inference to know
 // which struct a member access lands in. The results are written back into
-// the AST (DeclRefExpr::decl, MemberExpr::field, ...) so later passes —
-// CFG construction, taint analysis, dependency extraction — can navigate
-// the program semantically.
+// the AST (DeclRefExpr::decl, MemberExpr::field, Expr::sema_type, ...) so
+// later passes — CFG construction, taint analysis, dependency extraction —
+// can navigate the program semantically. Resolving allocates per
+// declaration, never per expression: types live in the nodes and scopes
+// are one flat stack.
 #pragma once
 
 #include <memory>
@@ -30,7 +32,7 @@ class Sema {
 
   /// Resolved type of an expression (valid after run()); nullopt when the
   /// expression never got a type (e.g. unresolved identifier).
-  [[nodiscard]] std::optional<SemType> typeOf(const ast::Expr& expr) const;
+  [[nodiscard]] static std::optional<SemType> typeOf(const ast::Expr& expr);
 
   /// Folds an integer-constant expression using enum values and literals.
   /// Returns nullopt when the expression is not constant.
@@ -40,20 +42,18 @@ class Sema {
   [[nodiscard]] const ast::FunctionDecl* findFunction(std::string_view name) const;
 
  private:
-  struct Scope {
-    std::unordered_map<std::string, ast::VarDecl*> vars;
-  };
-
   void collectTopLevel();
   void resolveFunction(ast::FunctionDecl& fn);
   void resolveStmt(ast::Stmt& stmt, ast::FunctionDecl& fn);
   void resolveExpr(ast::Expr& expr);
+  void openScope() { scope_starts_.push_back(scope_vars_.size()); }
+  void closeScope();
   void declareVar(ast::VarDecl& var);
-  [[nodiscard]] ast::VarDecl* lookupVar(const std::string& name);
+  [[nodiscard]] ast::VarDecl* lookupVar(const std::string& name) const;
 
-  /// Computes and caches the semantic type of `expr`.
-  SemType computeType(ast::Expr& expr);
-  SemType resolveTypedefs(const ast::TypeSpec& type) const;
+  /// Computes the semantic type of `expr` once and stores it in the node.
+  ast::ExprType computeType(ast::Expr& expr);
+  [[nodiscard]] ast::ExprType resolveTypedefs(const ast::TypeSpec& type) const;
 
   ast::TranslationUnit& tu_;
   DiagnosticEngine& diags_;
@@ -64,8 +64,10 @@ class Sema {
   std::unordered_map<std::string, ast::TypedefDecl*> typedefs_;
   std::unordered_map<std::string, ast::FunctionDecl*> functions_;
   std::unordered_map<std::string, ast::VarDecl*> globals_;
-  std::vector<Scope> scopes_;
-  std::unordered_map<const ast::Expr*, SemType> expr_types_;
+  /// Block scopes of the function being resolved, innermost last: the
+  /// variables declared so far, and where each open scope starts.
+  std::vector<ast::VarDecl*> scope_vars_;
+  std::vector<std::size_t> scope_starts_;
 };
 
 }  // namespace fsdep::sema

@@ -22,7 +22,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <memory_resource>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -108,5 +111,60 @@ struct ArenaDelete {
 /// Owning pointer to an arena-allocated object.
 template <typename T>
 using ArenaPtr = std::unique_ptr<T, ArenaDelete>;
+
+/// A std::pmr::memory_resource drawing from an Arena: deallocation is a
+/// no-op, and the memory returns to the arena's owner on reset() or
+/// destruction. Containers using it must be destroyed before either.
+class ArenaResource final : public std::pmr::memory_resource {
+ public:
+  explicit ArenaResource(Arena& arena) : arena_(arena) {}
+
+ private:
+  void* do_allocate(std::size_t bytes, std::size_t align) override {
+    return arena_.allocate(bytes, align);
+  }
+  void do_deallocate(void*, std::size_t, std::size_t) override {}
+  [[nodiscard]] bool do_is_equal(const std::pmr::memory_resource& other) const noexcept override {
+    return this == &other;
+  }
+
+  Arena& arena_;
+};
+
+/// A growable array whose storage comes from an Arena, so appending never
+/// calls the heap allocator. Capacity doubles; an outgrown buffer stays in
+/// the arena until it is reset or destroyed, which at most doubles the
+/// bytes the list occupies. The caller passes the arena on every append
+/// and must keep it alive as long as the list. Holds only trivially
+/// copyable, trivially destructible values, so the list itself is too.
+template <typename T>
+class ArenaVector {
+  static_assert(std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>);
+
+ public:
+  void push_back(Arena& arena, const T& value) {
+    if (size_ == capacity_) grow(arena);
+    data_[size_++] = value;
+  }
+
+  [[nodiscard]] const T* begin() const { return data_; }
+  [[nodiscard]] const T* end() const { return data_ + size_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const T& operator[](std::size_t i) const { return data_[i]; }
+
+ private:
+  void grow(Arena& arena) {
+    const std::uint32_t capacity = capacity_ == 0 ? 2 : capacity_ * 2;
+    T* data = static_cast<T*>(arena.allocate(capacity * sizeof(T), alignof(T)));
+    if (size_ > 0) std::memcpy(data, data_, size_ * sizeof(T));
+    data_ = data;
+    capacity_ = capacity;
+  }
+
+  T* data_ = nullptr;
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = 0;
+};
 
 }  // namespace fsdep

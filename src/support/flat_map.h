@@ -6,10 +6,16 @@
 // between them. Values sit in a parallel array at the same index.
 // Iteration is in key order, so everything downstream stays
 // deterministic.
+//
+// A map may draw its storage from a std::pmr::memory_resource (the taint
+// analyzer keeps its per-block result states in its arena). A copy of a
+// map always uses the default heap resource, so it never depends on the
+// lifetime of the resource its source came from.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <memory_resource>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -53,6 +59,9 @@ class FlatMap {
   using iterator = Iter<false>;
   using const_iterator = Iter<true>;
 
+  FlatMap() = default;
+  explicit FlatMap(std::pmr::memory_resource* resource) : keys_(resource), values_(resource) {}
+
   /// std::map-style: inserts a default Value when the key is absent.
   Value& operator[](const Key& key) {
     const std::size_t i = lowerBound(key);
@@ -89,8 +98,8 @@ class FlatMap {
   }
 
   /// The dense sorted key array (index-parallel with values()).
-  [[nodiscard]] const std::vector<Key>& keys() const { return keys_; }
-  [[nodiscard]] const std::vector<Value>& values() const { return values_; }
+  [[nodiscard]] const std::pmr::vector<Key>& keys() const { return keys_; }
+  [[nodiscard]] const std::pmr::vector<Value>& values() const { return values_; }
 
   bool operator==(const FlatMap& other) const {
     return keys_ == other.keys_ && values_ == other.values_;
@@ -117,7 +126,12 @@ class FlatMap {
         if (a == keys_.size() || b < keys_[a]) ++missing;
       }
     }
-    if (missing > 0) reserve(keys_.size() + missing);
+    // An empty map takes an exact fit (the common first merge into a
+    // fresh state); a filled one grows geometrically, like push_back, as
+    // an exact fit would reallocate on every merge that brings a new key.
+    if (keys_.size() + missing > keys_.capacity()) {
+      reserve(keys_.empty() ? missing : std::max(keys_.size() + missing, 2 * keys_.capacity()));
+    }
     std::size_t a = 0;
     for (std::size_t b = 0; b < other.keys_.size(); ++b) {
       const Key& bk = other.keys_[b];
@@ -140,8 +154,8 @@ class FlatMap {
         std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
   }
 
-  std::vector<Key> keys_;
-  std::vector<Value> values_;
+  std::pmr::vector<Key> keys_;
+  std::pmr::vector<Value> values_;
 };
 
 }  // namespace fsdep

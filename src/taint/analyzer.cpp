@@ -16,7 +16,7 @@ FieldKeyId Analyzer::fieldIdFor(const MemberExpr& m) const {
   const auto memo = field_id_memo_.find(m.field);
   if (memo != field_id_memo_.end()) return memo->second;
   const FieldKeyId id = field_keys_.intern(m.record->name, m.field->name);
-  field_id_memo_.emplace(m.field, id);
+  field_id_memo_[m.field] = id;
   return id;
 }
 
@@ -33,6 +33,25 @@ std::map<std::string, LabelSet> Analyzer::fieldWrites() const {
   std::map<std::string, LabelSet> out;
   for (const auto& [id, labels] : field_writes_) out.emplace(field_keys_.key(id), labels);
   return out;
+}
+
+Analyzer::FunctionSlot* Analyzer::slotOf(const FunctionDecl* fn) {
+  const auto it = std::lower_bound(slot_index_.begin(), slot_index_.end(), fn,
+                                   [](const auto& entry, const FunctionDecl* f) {
+                                     return std::less<const FunctionDecl*>()(entry.first, f);
+                                   });
+  return it != slot_index_.end() && it->first == fn ? &slots_[it->second] : nullptr;
+}
+
+const Analyzer::FunctionSlot* Analyzer::slotOf(const FunctionDecl* fn) const {
+  return const_cast<Analyzer*>(this)->slotOf(fn);
+}
+
+void Analyzer::markStale(FunctionSlot& slot) {
+  if (!slot.stale) {
+    slot.stale = true;
+    ++stale_count_;
+  }
 }
 
 void Analyzer::addSeed(Seed seed) { seeds_.push_back(std::move(seed)); }
@@ -99,57 +118,63 @@ const std::string& Analyzer::varNameFor(const VarDecl& var) const {
   return it->second;
 }
 
-const std::string& Analyzer::traceTextFor(const void* site, const std::string& object,
-                                          const Expr* rhs, const char* fallback) const {
-  const auto [it, inserted] = trace_text_memo_.try_emplace(site);
-  if (inserted) {
-    it->second = object + " <- " + (rhs != nullptr ? exprToString(*rhs) : fallback);
+void Analyzer::offerTrace(const void* site, std::string_view object, SourceLoc loc,
+                          const Expr* rhs, const char* fallback) {
+  SiteTrace& trace = site_traces_[site];
+  if (trace.offered_in_run == run_) return;
+  trace.offered_in_run = run_;
+  if (trace.text.empty()) {
+    trace.text.append(object).append(" <- ");
+    trace.text += rhs != nullptr ? exprToString(*rhs) : fallback;
   }
-  return it->second;
+  recordTrace(object, loc, trace.text);
 }
 
-void Analyzer::seedEntryState(const FunctionDecl& fn, TaintState& state) {
-  // Seed-to-variable resolution walks the function body; memoize it per
-  // run so fixpoint re-entries (and later worklist rounds) don't re-walk
-  // the AST. Label interning stays here, in first-use order — LabelId
-  // order is semantically visible.
-  const auto [memo, inserted] = seed_memo_.try_emplace(&fn);
-  if (inserted) {
-    for (const Seed& seed : seeds_) {
-      if (seed.function != fn.name) continue;
-      const VarDecl* var = findVarInFunction(fn, seed.variable);
-      if (var != nullptr) memo->second.emplace_back(&seed, var);
+void Analyzer::resolveSeeds(FunctionSlot& slot) {
+  // Runs at the function's first analysis of the run: the body walk,
+  // the label interning (in first-use order — LabelId order is
+  // semantically visible), the sticky labels and the "seed: carries"
+  // trace steps all happen once. Recording them again on a later
+  // analysis would change nothing: sticky sets and traces only grow, and
+  // a trace step is offered once per (object, loc, text).
+  slot.seeds_resolved = true;
+  for (const Seed& seed : seeds_) {
+    if (seed.function != slot.fn->name) continue;
+    const VarDecl* var = findVarInFunction(*slot.fn, seed.variable);
+    if (var != nullptr) {
+      slot.seeds.push_back(
+          SeedBinding{var, labels_.internParam(seed.param), "seed: carries " + seed.param});
     }
   }
-  for (const auto& [seed, var] : memo->second) {
-    const LabelId label = labels_.internParam(seed->param);
-    state.vars[var].insert(label);
-    sticky_[var].insert(label);
-    recordTrace(varNameFor(*var), var->loc, "seed: carries " + seed->param);
+  // The bindings are complete, so their trace texts keep their address.
+  for (const SeedBinding& seed : slot.seeds) {
+    sticky_[seed.var].insert(seed.label);
+    recordTrace(varNameFor(*seed.var), seed.var->loc, seed.trace_text);
   }
-  if (options_.inter_procedural) {
-    const auto it = entry_bindings_.find(&fn);
-    if (it != entry_bindings_.end()) state.mergeFrom(it->second);
-  }
+}
+
+void Analyzer::seedEntryState(FunctionSlot& slot, TaintState& state) {
+  if (!slot.seeds_resolved) resolveSeeds(slot);
+  for (const SeedBinding& seed : slot.seeds) state.vars[seed.var].insert(seed.label);
+  if (options_.inter_procedural) state.mergeFrom(slot.entry_bindings);
 }
 
 void Analyzer::run(const std::vector<const FunctionDecl*>& functions) {
   std::vector<const FunctionDecl*> fns = functions;
   if (fns.empty()) fns = tu_.functions();
 
+  // Traces view seed texts held by the slots, so they go first.
+  traces_.clear();
   results_.clear();  // destroys the FunctionTaints before the arena memory is recycled
   arena_.reset();
-  by_fn_.clear();
+  result_slots_.clear();
+  slots_.clear();
+  slot_index_.clear();
+  stale_count_ = 0;
+  ++run_;
   field_writes_.clear();
-  traces_.clear();
-  trace_done_.clear();
   writes_.clear();
   sticky_.clear();
-  seed_memo_.clear();
-  entry_bindings_.clear();
-  return_summaries_.clear();
-  callers_.clear();
-  stale_.clear();
   merge_calls_ = 0;
   merge_grew_ = 0;
   stmt_visits_ = 0;
@@ -159,7 +184,7 @@ void Analyzer::run(const std::vector<const FunctionDecl*>& functions) {
 
   for (const FunctionDecl* fn : fns) {
     if (fn == nullptr || !fn->isDefinition()) continue;
-    ArenaPtr<FunctionTaint> result(arena_.make<FunctionTaint>());
+    ArenaPtr<FunctionTaint> result(arena_.make<FunctionTaint>(&state_memory_));
     result->fn = fn;
     if (options_.compile_ir) {
       // Compiled once per function and memoized (shared across warm runs
@@ -175,9 +200,25 @@ void Analyzer::run(const std::vector<const FunctionDecl*>& functions) {
       result->cfg = cfg::Cfg::build(*fn);
       result->rpo = result->cfg->reversePostOrder();
     }
-    by_fn_[fn] = result.get();
+    // A function listed twice gets two results but one slot; resultFor()
+    // answers the later result.
+    std::uint32_t slot = 0;
+    const auto listed = std::find_if(slot_index_.begin(), slot_index_.end(),
+                                     [fn](const auto& entry) { return entry.first == fn; });
+    if (listed != slot_index_.end()) {
+      slot = listed->second;
+    } else {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back().fn = fn;
+      slot_index_.emplace_back(fn, slot);
+    }
+    slots_[slot].result = result.get();
+    result_slots_.push_back(slot);
     results_.push_back(std::move(result));
   }
+  std::sort(slot_index_.begin(), slot_index_.end(), [](const auto& a, const auto& b) {
+    return std::less<const FunctionDecl*>()(a.first, b.first);
+  });
 
   // Round 1 analyzes every function in source order. Each later round
   // re-analyzes, in source order, only the functions marked stale since
@@ -187,36 +228,49 @@ void Analyzer::run(const std::vector<const FunctionDecl*>& functions) {
   // those inputs. Round 1 interns every label, and bindings and
   // summaries only grow, so the loop ends without a cap. In intra mode
   // nothing is ever marked, so round 1 is the whole run.
-  for (bool first_round = true; first_round || !stale_.empty(); first_round = false) {
-    for (const auto& result : results_) {
-      if (stale_.erase(result->fn) == 0 && !first_round) {
+  for (bool first_round = true; first_round || stale_count_ > 0; first_round = false) {
+    for (std::size_t i = 0; i < results_.size(); ++i) {
+      FunctionSlot& slot = slots_[result_slots_[i]];
+      const bool was_stale = slot.stale;
+      if (was_stale) {
+        slot.stale = false;
+        --stale_count_;
+      } else if (!first_round) {
         ++concrete_skips_;
         continue;
       }
-      current_fn_ = result->fn;
-      current_result_ = result.get();
-      analyzeFunction(*result);
+      current_result_ = results_[i].get();
+      current_slot_ = &slot;
+      analyzeFunction(slot, *results_[i]);
     }
   }
-  current_fn_ = nullptr;
   current_result_ = nullptr;
+  current_slot_ = nullptr;
   if (concrete_skips_ > 0) {
     static obs::Counter& skip_counter = obs::Registry::global().counter("taint.concrete_skips");
     skip_counter.add(concrete_skips_);
   }
 }
 
-void Analyzer::analyzeFunction(FunctionTaint& result) {
+void Analyzer::analyzeFunction(FunctionSlot& slot, FunctionTaint& result) {
   obs::Span span("taint", "fixpoint");
   span.arg("function", result.fn->name);
   const std::uint64_t stmts_before = stmt_visits_;
   const cfg::Cfg& cfg = *result.cfg;
-  result.block_entry.assign(cfg.size(), TaintState{});
-  result.at_condition.assign(cfg.size(), TaintState{});
-
-  TaintState entry;
-  seedEntryState(*result.fn, entry);
-  result.block_entry[cfg.entry()] = std::move(entry);
+  // The first analysis of the run makes the block states (in the arena);
+  // a re-analysis empties them but keeps their storage.
+  if (result.block_entry.empty()) {
+    result.block_entry.reserve(cfg.size());
+    result.at_condition.reserve(cfg.size());
+    for (std::size_t i = 0; i < cfg.size(); ++i) {
+      result.block_entry.emplace_back(&state_memory_);
+      result.at_condition.emplace_back(&state_memory_);
+    }
+  } else {
+    for (TaintState& state : result.block_entry) state.clear();
+    for (TaintState& state : result.at_condition) state.clear();
+  }
+  seedEntryState(slot, result.block_entry[cfg.entry()]);
 
   const std::vector<cfg::BlockId>& order = result.rpo;
   // Dirty-block fixpoint: a block is reprocessed only when its entry
@@ -224,16 +278,17 @@ void Analyzer::analyzeFunction(FunctionTaint& result) {
   // write events) are idempotent and depend only on the entry state, so
   // skipping a converged block replays nothing and changes nothing —
   // acyclic CFGs settle in one real sweep plus one flag scan.
-  std::vector<char> dirty(cfg.size(), 1);
+  dirty_.assign(cfg.size(), 1);
+  TaintState& state = scratch_;
   bool changed = true;
   int iterations = 0;
   while (changed && iterations++ < 64) {
     changed = false;
     for (const cfg::BlockId id : order) {
-      if (dirty[id] == 0) continue;
-      dirty[id] = 0;
+      if (dirty_[id] == 0) continue;
+      dirty_[id] = 0;
       const cfg::BasicBlock& block = cfg.block(id);
-      TaintState state = result.block_entry[id];
+      state = result.block_entry[id];
       if (result.code != nullptr) {
         execBlock(result.code->program, id, state, &result.at_condition);
       } else {
@@ -249,7 +304,7 @@ void Analyzer::analyzeFunction(FunctionTaint& result) {
         ++merge_calls_;
         merge_grew_ += grew ? 1 : 0;
         if (grew) {
-          dirty[e.target] = 1;
+          dirty_[e.target] = 1;
           changed = true;
         }
       }
@@ -265,11 +320,11 @@ void Analyzer::analyzeFunction(FunctionTaint& result) {
 
   // Publish the union of the post-statement states at the exits (the
   // record/trace side effects are idempotent, so replaying is safe).
-  result.exit_state = TaintState{};
+  result.exit_state.clear();
   for (const cfg::BlockId id : order) {
     const cfg::BasicBlock& block = cfg.block(id);
     if (!block.is_exit) continue;
-    TaintState state = result.block_entry[id];
+    state = result.block_entry[id];
     if (result.code != nullptr) {
       const ir::BlockRange& range = result.code->program.blocks[id];
       ++ir_visits_;
@@ -290,24 +345,31 @@ ir::IrCache& Analyzer::irCache() {
 
 void Analyzer::bindArgument(const FunctionDecl* callee, std::size_t index,
                             const LabelSet& labels) {
-  if (unionInto(entry_bindings_[callee].vars[callee->params[index].get()], labels) &&
-      by_fn_.contains(callee)) {
-    stale_.insert(callee);
+  // Only an analyzed callee ever reads its bindings.
+  FunctionSlot* slot = slotOf(callee);
+  if (slot != nullptr &&
+      unionInto(slot->entry_bindings.vars[callee->params[index].get()], labels)) {
+    markStale(*slot);
   }
 }
 
 const LabelSet* Analyzer::returnSummary(const FunctionDecl* callee) {
+  FunctionSlot* slot = slotOf(callee);
+  if (slot == nullptr) return nullptr;
   // labelsOf() evaluates calls after the run, outside any function.
-  if (current_fn_ != nullptr) callers_[callee].insert(current_fn_);
-  const auto it = return_summaries_.find(callee);
-  return it != return_summaries_.end() ? &it->second : nullptr;
+  if (current_slot_ != nullptr) {
+    const auto caller = static_cast<std::uint32_t>(current_slot_ - slots_.data());
+    if (std::find(slot->callers.begin(), slot->callers.end(), caller) == slot->callers.end()) {
+      slot->callers.push_back(caller);
+    }
+  }
+  return &slot->return_summary;
 }
 
 void Analyzer::recordReturn(const LabelSet& labels) {
   unionInto(current_result_->return_labels, labels);
-  if (options_.inter_procedural && unionInto(return_summaries_[current_fn_], labels)) {
-    const auto it = callers_.find(current_fn_);
-    if (it != callers_.end()) stale_.insert(it->second.begin(), it->second.end());
+  if (options_.inter_procedural && unionInto(current_slot_->return_summary, labels)) {
+    for (const std::uint32_t caller : current_slot_->callers) markStale(slots_[caller]);
   }
 }
 
@@ -379,11 +441,8 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
         }
         if (!merged.empty()) {
           const std::string& object = varNameFor(*in.var);
-          if (trace_done_.insert(in.site).second) {
-            recordTrace(object, in.loc, traceTextFor(in.site, object, in.rhs, "<call out-param>"));
-          }
-          recordWrite(*in.write_key, object, /*is_field=*/false, "", merged, in.rhs, in.loc,
-                      in.aop);
+          offerTrace(in.site, object, in.loc, in.rhs, "<call out-param>");
+          recordWrite(*in.write_key, object, /*is_field=*/false, merged, in.rhs, in.loc, in.aop);
         }
         break;
       }
@@ -401,10 +460,8 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
         unionInto(field_writes_[id], labels);
         if (!labels.empty()) {
           const std::string& key = field_keys_.key(id);
-          if (trace_done_.insert(in.site).second) {
-            recordTrace(key, in.loc, traceTextFor(in.site, key, in.rhs, "<expr>"));
-          }
-          recordWrite(*in.write_key, key, /*is_field=*/true, key, labels, in.rhs, in.loc, in.aop);
+          offerTrace(in.site, key, in.loc, in.rhs, "<expr>");
+          recordWrite(*in.write_key, key, /*is_field=*/true, labels, in.rhs, in.loc, in.aop);
         }
         break;
       }
@@ -417,10 +474,8 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
         if (!labels.empty()) {
           state.vars[in.var] = labels;
           const std::string& object = varNameFor(*in.var);
-          if (trace_done_.insert(in.site).second) {
-            recordTrace(object, in.loc, traceTextFor(in.site, object, in.rhs, ""));
-          }
-          recordWrite(*in.write_key, object, /*is_field=*/false, "", labels, in.rhs, in.loc,
+          offerTrace(in.site, object, in.loc, in.rhs, "");
+          recordWrite(*in.write_key, object, /*is_field=*/false, labels, in.rhs, in.loc,
                       BinaryOp::Assign);
         } else {
           state.vars[in.var].clear();
@@ -471,11 +526,9 @@ void Analyzer::transferStmt(const Stmt& stmt, TaintState& state) {
         if (!labels.empty()) {
           state.vars[var.get()] = labels;
           const std::string& object = varNameFor(*var);
-          if (trace_done_.insert(var.get()).second) {
-            recordTrace(object, var->loc, traceTextFor(var.get(), object, var->init.get(), ""));
-          }
-          recordWrite(*var->init, object, /*is_field=*/false, "", labels, var->init.get(),
-                      var->loc, BinaryOp::Assign);
+          offerTrace(var.get(), object, var->loc, var->init.get(), "");
+          recordWrite(*var->init, object, /*is_field=*/false, labels, var->init.get(), var->loc,
+                      BinaryOp::Assign);
         } else {
           state.vars[var.get()].clear();
         }
@@ -646,10 +699,8 @@ void Analyzer::assignTo(const Expr& lhs, const Expr* rhs, const LabelSet& labels
       }
       if (!merged.empty()) {
         const std::string& object = varNameFor(*ref.decl);
-        if (trace_done_.insert(&lhs).second) {
-          recordTrace(object, loc, traceTextFor(&lhs, object, rhs, "<call out-param>"));
-        }
-        recordWrite(lhs, object, /*is_field=*/false, "", merged, rhs, loc, op);
+        offerTrace(&lhs, object, loc, rhs, "<call out-param>");
+        recordWrite(lhs, object, /*is_field=*/false, merged, rhs, loc, op);
       }
       break;
     }
@@ -662,10 +713,8 @@ void Analyzer::assignTo(const Expr& lhs, const Expr* rhs, const LabelSet& labels
       unionInto(field_writes_[id], labels);
       if (!labels.empty()) {
         const std::string& key = field_keys_.key(id);
-        if (trace_done_.insert(&lhs).second) {
-          recordTrace(key, loc, traceTextFor(&lhs, key, rhs, "<expr>"));
-        }
-        recordWrite(lhs, key, /*is_field=*/true, key, labels, rhs, loc, op);
+        offerTrace(&lhs, key, loc, rhs, "<expr>");
+        recordWrite(lhs, key, /*is_field=*/true, labels, rhs, loc, op);
       }
       break;
     }
@@ -689,7 +738,7 @@ void Analyzer::assignTo(const Expr& lhs, const Expr* rhs, const LabelSet& labels
   }
 }
 
-void Analyzer::recordTrace(const std::string& object, SourceLoc loc, const std::string& text) {
+void Analyzer::recordTrace(std::string_view object, SourceLoc loc, std::string_view text) {
   std::vector<TraceStep>& trace = traces_[object];
   if (trace.size() >= options_.max_trace_steps) return;
   // Skip exact duplicates produced by fixpoint re-iteration.
@@ -699,17 +748,16 @@ void Analyzer::recordTrace(const std::string& object, SourceLoc loc, const std::
   trace.push_back(TraceStep{loc, text});
 }
 
-void Analyzer::recordWrite(const Expr& assign, const std::string& object, bool is_field,
-                           const std::string& field_key, const LabelSet& labels, const Expr* rhs,
-                           SourceLoc loc, BinaryOp op) {
+void Analyzer::recordWrite(const Expr& assign, std::string_view object, bool is_field,
+                           const LabelSet& labels, const Expr* rhs, SourceLoc loc, BinaryOp op) {
   WriteEvent& event = writes_[&assign];
   if (event.assign == nullptr) {
-    event.fn = current_fn_;
+    event.fn = current_slot_->fn;
     event.assign = &assign;
     event.loc = loc;
     event.object = object;
     event.is_field = is_field;
-    event.field_key = field_key;
+    if (is_field) event.field_key = object;
     event.rhs = rhs;
     event.op = op;
     if (rhs != nullptr && rhs->kind() == ExprKind::Call) {
@@ -723,6 +771,11 @@ std::vector<const WriteEvent*> Analyzer::writeEvents() const {
   std::vector<const WriteEvent*> out;
   out.reserve(writes_.size());
   for (const auto& [expr, event] : writes_) out.push_back(&event);
+  // Site order first, so the location sort below sees the same sequence
+  // (and breaks location ties the same way) as it always has.
+  std::sort(out.begin(), out.end(), [](const WriteEvent* a, const WriteEvent* b) {
+    return std::less<const Expr*>()(a->assign, b->assign);
+  });
   std::sort(out.begin(), out.end(), [](const WriteEvent* a, const WriteEvent* b) {
     if (a->loc.file.value != b->loc.file.value) return a->loc.file.value < b->loc.file.value;
     if (a->loc.line != b->loc.line) return a->loc.line < b->loc.line;
@@ -731,14 +784,14 @@ std::vector<const WriteEvent*> Analyzer::writeEvents() const {
   return out;
 }
 
-const std::vector<TraceStep>* Analyzer::traceFor(const std::string& object) const {
+const std::vector<TraceStep>* Analyzer::traceFor(std::string_view object) const {
   const auto it = traces_.find(object);
   return it != traces_.end() ? &it->second : nullptr;
 }
 
 const FunctionTaint* Analyzer::resultFor(const FunctionDecl* fn) const {
-  const auto it = by_fn_.find(fn);
-  return it != by_fn_.end() ? it->second : nullptr;
+  const FunctionSlot* slot = slotOf(fn);
+  return slot != nullptr ? slot->result : nullptr;
 }
 
 const FunctionTaint* Analyzer::resultFor(std::string_view function_name) const {

@@ -27,10 +27,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ast/ast.h"
@@ -65,28 +64,35 @@ struct Seed {
   std::string param;
 };
 
+/// One step of a taint trace. `text` views text the analyzer built once
+/// per assignment site (or per seed) and keeps until its next run().
 struct TraceStep {
   SourceLoc loc;
-  std::string text;
+  std::string_view text;
 };
 
 /// One (deduplicated) tainted write observed during the run. The
-/// dependency extractor matches SD patterns against these.
+/// dependency extractor matches SD patterns against these. The strings
+/// view names the analyzer and the AST keep, built once per object.
 struct WriteEvent {
   const ast::FunctionDecl* fn = nullptr;
   const ast::Expr* assign = nullptr;  ///< the assignment expression
   SourceLoc loc;
-  std::string object;       ///< "function.var" or "record.field"
+  std::string_view object;      ///< "function.var" or "record.field"
   bool is_field = false;
-  std::string field_key;    ///< set when is_field
-  LabelSet labels;          ///< labels flowing into the object
-  std::string rhs_callee;   ///< callee name when the RHS is a direct call
+  std::string_view field_key;   ///< set when is_field
+  LabelSet labels;              ///< labels flowing into the object
+  std::string_view rhs_callee;  ///< callee name when the RHS is a direct call
   const ast::Expr* rhs = nullptr;      ///< RHS expression (null for out-params)
   ast::BinaryOp op = ast::BinaryOp::Assign;  ///< assignment operator
 };
 
-/// Analysis results for one function.
+/// Analysis results for one function. The analyzer draws the storage of
+/// the block states from its arena, so they live until its next run().
 struct FunctionTaint {
+  FunctionTaint() = default;
+  explicit FunctionTaint(std::pmr::memory_resource* states) : exit_state(states) {}
+
   const ast::FunctionDecl* fn = nullptr;
   /// Shared with the compiled IR when compile_ir is on (the IR cache
   /// owns the build); built per run in legacy-walk mode.
@@ -110,6 +116,9 @@ struct FunctionTaint {
 class Analyzer {
  public:
   Analyzer(const ast::TranslationUnit& tu, const sema::Sema& sema, AnalysisOptions options = {});
+  // The block states' memory resource refers to the analyzer's own arena.
+  Analyzer(const Analyzer&) = delete;
+  Analyzer& operator=(const Analyzer&) = delete;
 
   void addSeed(Seed seed);
 
@@ -137,8 +146,8 @@ class Analyzer {
   [[nodiscard]] std::vector<const WriteEvent*> writeEvents() const;
 
   /// Taint trace for an object ("function.var" or "record.field"); null
-  /// when the object never got tainted.
-  [[nodiscard]] const std::vector<TraceStep>* traceFor(const std::string& object) const;
+  /// when the object never got tainted. Valid until the next run().
+  [[nodiscard]] const std::vector<TraceStep>* traceFor(std::string_view object) const;
 
   /// Labels an expression may carry in `state` (no side effects applied).
   [[nodiscard]] LabelSet labelsOf(const ast::Expr& expr, const TaintState& state) const;
@@ -177,8 +186,40 @@ class Analyzer {
   [[nodiscard]] std::size_t arenaBytes() const { return arena_.bytesUsed(); }
 
  private:
-  void seedEntryState(const ast::FunctionDecl& fn, TaintState& state);
-  void analyzeFunction(FunctionTaint& result);
+  /// A seed resolved for one run: the variable it names, the label it
+  /// carries and its "seed: carries" trace text.
+  struct SeedBinding {
+    const ast::VarDecl* var = nullptr;
+    LabelId label = 0;
+    std::string trace_text;
+  };
+
+  /// Per-run state of one analyzed function. Slots are dense (in the
+  /// order run() first lists each function) and found by slotOf(), so
+  /// the worklist's per-call and per-analysis lookups index a vector.
+  struct FunctionSlot {
+    const ast::FunctionDecl* fn = nullptr;
+    FunctionTaint* result = nullptr;  ///< what resultFor(fn) returns
+    /// Resolved at the function's first analysis, so label interning
+    /// keeps its first-use order.
+    bool seeds_resolved = false;
+    std::vector<SeedBinding> seeds;
+    /// Inter mode: labels callers bound to the parameters.
+    TaintState entry_bindings;
+    /// Inter mode: union of the labels the function returns.
+    LabelSet return_summary;
+    /// Slots of the functions that read return_summary.
+    std::vector<std::uint32_t> callers;
+    /// Analyzed, and its entry bindings or a callee's summary grew since.
+    bool stale = false;
+  };
+
+  [[nodiscard]] FunctionSlot* slotOf(const ast::FunctionDecl* fn);
+  [[nodiscard]] const FunctionSlot* slotOf(const ast::FunctionDecl* fn) const;
+  void markStale(FunctionSlot& slot);
+  void resolveSeeds(FunctionSlot& slot);
+  void seedEntryState(FunctionSlot& slot, TaintState& state);
+  void analyzeFunction(FunctionSlot& slot, FunctionTaint& result);
   /// Inter-procedural call bookkeeping shared by both executors: an
   /// argument binding that grows re-queues the callee, and reading a
   /// callee's return summary registers the current function as a caller
@@ -202,21 +243,23 @@ class Analyzer {
   LabelSet evalExpr(const ast::Expr& expr, TaintState& state, bool effects);
   void assignTo(const ast::Expr& lhs, const ast::Expr* rhs, const LabelSet& labels, bool strong,
                 TaintState& state, SourceLoc loc, ast::BinaryOp op = ast::BinaryOp::Assign);
-  void recordTrace(const std::string& object, SourceLoc loc, const std::string& text);
-  void recordWrite(const ast::Expr& assign, const std::string& object, bool is_field,
-                   const std::string& field_key, const LabelSet& labels, const ast::Expr* rhs,
-                   SourceLoc loc, ast::BinaryOp op);
+  /// Offers the trace step of one assignment site, at most once per run
+  /// (a site's object, location and text never change, so later offers
+  /// would record nothing).
+  void offerTrace(const void* site, std::string_view object, SourceLoc loc,
+                  const ast::Expr* rhs, const char* fallback);
+  /// Appends (object, loc, text) to the object's trace unless present.
+  /// Traces and write events keep the views, so `object` must be a
+  /// memoized name (varNameFor, fieldKeys()) and `text` a memo entry or
+  /// a seed binding's text.
+  void recordTrace(std::string_view object, SourceLoc loc, std::string_view text);
+  void recordWrite(const ast::Expr& assign, std::string_view object, bool is_field,
+                   const LabelSet& labels, const ast::Expr* rhs, SourceLoc loc,
+                   ast::BinaryOp op);
   [[nodiscard]] std::string describeVar(const ast::VarDecl& var) const;
   /// describeVar, memoized by declaration (the display name of a decl
   /// never changes).
   [[nodiscard]] const std::string& varNameFor(const ast::VarDecl& var) const;
-  /// The "object <- rhs" trace text of one assignment site, memoized by
-  /// site pointer: the text is pure AST rendering, so building it once
-  /// per site (instead of on every fixpoint replay) is observationally
-  /// identical. exprToString recursion dominated the amplified-corpus
-  /// profile before this.
-  [[nodiscard]] const std::string& traceTextFor(const void* site, const std::string& object,
-                                                const ast::Expr* rhs, const char* fallback) const;
   [[nodiscard]] const ast::VarDecl* findVarInFunction(const ast::FunctionDecl& fn,
                                                       std::string_view name) const;
   /// Interned id of the field a member expression touches, memoized per
@@ -230,41 +273,41 @@ class Analyzer {
   AnalysisOptions options_;
   mutable LabelTable labels_;
   mutable FieldKeyTable field_keys_;
-  mutable std::unordered_map<const ast::FieldDecl*, FieldKeyId> field_id_memo_;
+  mutable FlatMap<const ast::FieldDecl*, FieldKeyId> field_id_memo_;
   mutable std::vector<LabelId> bridge_label_memo_;  ///< indexed by FieldKeyId
   // AST-derived display strings are run-invariant, so these memos are
   // never cleared (the AST outlives the analyzer via the component
-  // cache entry).
+  // cache entry). Traces and write events view their strings, which the
+  // nodes keep at a fixed address.
   mutable std::unordered_map<const ast::VarDecl*, std::string> var_name_memo_;
-  mutable std::unordered_map<const void*, std::string> trace_text_memo_;
-  /// Assignment sites whose trace step was already offered this run.
-  /// A site's (object, loc, text) triple is fixed, so recordTrace is
-  /// idempotent per site — later replays can skip the call outright.
-  std::unordered_set<const void*> trace_done_;
+  /// One assignment site's "object <- rhs" trace text — pure AST
+  /// rendering, so built once (exprToString recursion dominated the
+  /// amplified-corpus profile before this) — and the run that last
+  /// offered its trace step.
+  struct SiteTrace {
+    std::string text;
+    std::uint64_t offered_in_run = 0;
+  };
+  std::unordered_map<const void*, SiteTrace> site_traces_;
+  std::uint64_t run_ = 0;  ///< runs started, the current one included
   std::vector<Seed> seeds_;
-  /// Per-run cache of seed-to-variable resolution (the AST walk), so
-  /// fixpoint re-entries don't re-walk function bodies. Label interning
-  /// is NOT cached — it must stay in first-use order.
-  std::map<const ast::FunctionDecl*, std::vector<std::pair<const Seed*, const ast::VarDecl*>>>
-      seed_memo_;
 
-  /// Storage for per-function results; declared before results_ so the
-  /// arena outlives the ArenaPtrs into it.
+  /// Storage for per-function results and their block states; declared
+  /// before results_ so the arena outlives the ArenaPtrs into it.
   Arena arena_;
+  ArenaResource state_memory_{arena_};
   std::vector<ArenaPtr<FunctionTaint>> results_;
-  std::map<const ast::FunctionDecl*, FunctionTaint*> by_fn_;
-  const ast::FunctionDecl* current_fn_ = nullptr;
+  /// The slot of each entry of results_.
+  std::vector<std::uint32_t> result_slots_;
+  std::vector<FunctionSlot> slots_;
+  /// (function, slot) sorted by function, for slotOf().
+  std::vector<std::pair<const ast::FunctionDecl*, std::uint32_t>> slot_index_;
+  std::size_t stale_count_ = 0;
+  /// The result and slot of the analysis in progress (null outside run()).
   FunctionTaint* current_result_ = nullptr;
+  FunctionSlot* current_slot_ = nullptr;
 
-  std::map<const ast::VarDecl*, LabelSet> sticky_;
-
-  // Inter-procedural worklist state.
-  std::map<const ast::FunctionDecl*, TaintState> entry_bindings_;
-  std::map<const ast::FunctionDecl*, LabelSet> return_summaries_;
-  /// callee -> functions that read its return summary.
-  std::map<const ast::FunctionDecl*, std::set<const ast::FunctionDecl*>> callers_;
-  /// Analyzed functions whose inputs grew since their last analysis.
-  std::set<const ast::FunctionDecl*> stale_;
+  FlatMap<const ast::VarDecl*, LabelSet> sticky_;
 
   std::uint64_t merge_calls_ = 0;
   std::uint64_t merge_grew_ = 0;
@@ -277,10 +320,17 @@ class Analyzer {
   /// the temp scratchpad the interpreter reuses across block visits.
   std::shared_ptr<ir::IrCache> ir_cache_;
   std::vector<LabelSet> ir_temps_;
+  /// Every block visit and exit replay runs in this one state (filled
+  /// from the block's entry state), and the fixpoint's dirty flags are
+  /// reused too, so a visit allocates only when a state outgrows them.
+  TaintState scratch_;
+  std::vector<char> dirty_;
 
-  std::map<FieldKeyId, LabelSet> field_writes_;
-  std::map<std::string, std::vector<TraceStep>> traces_;
-  std::map<const ast::Expr*, WriteEvent> writes_;
+  FlatMap<FieldKeyId, LabelSet> field_writes_;
+  /// Keyed by views of the memoized object names.
+  std::unordered_map<std::string_view, std::vector<TraceStep>> traces_;
+  /// Keyed by the assignment expression; writeEvents() orders them.
+  std::unordered_map<const ast::Expr*, WriteEvent> writes_;
 };
 
 }  // namespace fsdep::taint

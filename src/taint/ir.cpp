@@ -1,5 +1,6 @@
 #include "taint/ir.h"
 
+#include <span>
 #include <utility>
 
 #include "obs/trace.h"
@@ -249,11 +250,14 @@ class Lowerer {
     // Arg values feed out-param stores and callee bindings even when
     // the call result itself is discarded.
     const bool want_args = want || effects;
-    std::vector<TempId> arg_temps;
-    arg_temps.reserve(call.args.size());
+    // The arg temps sit on a stack shared by nested calls: an argument's
+    // own calls push and pop above this call's frame.
+    const std::size_t frame = arg_stack_.size();
     for (const auto& arg : call.args) {
-      arg_temps.push_back(lowerExpr(*arg, effects, want_args));
+      const TempId t = lowerExpr(*arg, effects, want_args);
+      arg_stack_.push_back(t);
     }
+    const std::span<const TempId> arg_temps(arg_stack_.data() + frame, call.args.size());
     if (effects) {
       // &out arguments receive the union of the *other* args' labels.
       // The accumulation copies into a fresh temp: arg temps are read
@@ -280,29 +284,31 @@ class Lowerer {
                     call.loc, BinaryOp::Assign);
       }
     }
+    TempId result = kNoTemp;
     if (callee != nullptr) {
       CallSpec spec;
       spec.callee = callee;
       spec.effects = effects;
       spec.args_begin = static_cast<std::uint32_t>(prog_.call_args.size());
-      for (const TempId t : arg_temps) prog_.call_args.push_back(t);
+      prog_.call_args.insert(prog_.call_args.end(), arg_temps.begin(), arg_temps.end());
       spec.args_end = static_cast<std::uint32_t>(prog_.call_args.size());
       prog_.calls.push_back(spec);
       Instr& in = emit(Op::Call);
       in.dst = newTemp();
       in.aux = static_cast<std::uint32_t>(prog_.calls.size() - 1);
-      return in.dst;
+      result = in.dst;
+    } else if (want) {
+      // Extern/indirect callee: the result is just the arg-label union.
+      // Safe to fold in place — the out-param reads above already
+      // executed by the time these unions run.
+      for (const TempId t : arg_temps) result = emitUnion(result, t);
     }
-    if (!want) return kNoTemp;
-    // Extern/indirect callee: the result is just the arg-label union.
-    // Safe to fold in place — the out-param reads above already executed
-    // by the time these unions run.
-    TempId acc = kNoTemp;
-    for (const TempId t : arg_temps) acc = emitUnion(acc, t);
-    return acc;
+    arg_stack_.resize(frame);
+    return result;
   }
 
   Program& prog_;
+  std::vector<TempId> arg_stack_;
 };
 
 }  // namespace

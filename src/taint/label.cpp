@@ -12,11 +12,17 @@ LabelId LabelTable::intern(std::string name) {
 }
 
 LabelId LabelTable::internParam(std::string_view qualified_param) {
-  return intern("param:" + std::string(qualified_param));
+  std::string name;
+  name.reserve(6 + qualified_param.size());
+  name.append("param:").append(qualified_param);
+  return intern(std::move(name));
 }
 
 LabelId LabelTable::internField(std::string_view record, std::string_view field) {
-  return intern("field:" + std::string(record) + "." + std::string(field));
+  std::string name;
+  name.reserve(6 + record.size() + 1 + field.size());
+  name.append("field:").append(record).append(".").append(field);
+  return intern(std::move(name));
 }
 
 bool LabelTable::isParam(LabelId id) const { return names_[id].starts_with("param:"); }

@@ -21,6 +21,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -179,7 +180,8 @@ class LabelTable {
 };
 
 /// Interns "record.field" object keys to dense ids, so the per-point
-/// taint state maps integers instead of strings.
+/// taint state maps integers instead of strings. A key keeps its address
+/// for the table's lifetime, so write events and traces can view it.
 using FieldKeyId = std::uint32_t;
 
 class FieldKeyTable {
@@ -191,7 +193,7 @@ class FieldKeyTable {
   [[nodiscard]] std::size_t size() const { return keys_.size(); }
 
  private:
-  std::vector<std::string> keys_;
+  std::deque<std::string> keys_;
   std::unordered_map<std::string, FieldKeyId> index_;
 };
 

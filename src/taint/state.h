@@ -24,11 +24,21 @@ namespace fsdep::taint {
 std::string fieldKey(std::string_view record, std::string_view field);
 
 struct TaintState {
+  TaintState() = default;
+  /// A state whose maps draw storage from `resource` (copies use the heap).
+  explicit TaintState(std::pmr::memory_resource* resource) : vars(resource), fields(resource) {}
+
   FlatMap<const ast::VarDecl*, LabelSet> vars;
   FlatMap<FieldKeyId, LabelSet> fields;
 
   /// Pointwise union. Returns true when this state grew.
   bool mergeFrom(const TaintState& other);
+
+  /// Empties the state but keeps its storage for the next fill.
+  void clear() {
+    vars.clear();
+    fields.clear();
+  }
 
   [[nodiscard]] LabelSet varLabels(const ast::VarDecl* var) const;
   [[nodiscard]] LabelSet fieldLabels(FieldKeyId key) const;

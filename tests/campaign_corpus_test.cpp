@@ -8,6 +8,8 @@
 #include "tools/campaign.h"
 
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #ifndef FSDEP_CAMPAIGN_CORPUS_DIR
 #error "FSDEP_CAMPAIGN_CORPUS_DIR must point at the committed corpus"
@@ -35,6 +37,21 @@ TEST(CampaignCorpus, CommittedReprosStillReplay) {
 
 TEST(CampaignCorpus, ReplayRejectsMissingDirectory) {
   EXPECT_FALSE(replayCampaignCorpus("/nonexistent/fsdep-corpus").ok());
+}
+
+TEST(CampaignCorpus, ReplayOfADeeplyNestedFileNamesTheFile) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "fsdep_campaign_deep_json_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string file = (dir / "deep.json").string();
+  std::ofstream(file) << std::string(200000, '[');
+  const Result<ReplayReport> replay = replayCampaignCorpus(dir.string());
+  ASSERT_FALSE(replay.ok());
+  EXPECT_NE(replay.error().message.find(file), std::string::npos) << replay.error().message;
+  EXPECT_NE(replay.error().message.find("nesting too deep"), std::string::npos)
+      << replay.error().message;
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -261,5 +261,41 @@ TEST_F(DiskCacheTest, PipelineResultsAreByteIdenticalCachedVsUncached) {
   disk.configure(DiskCacheConfig{});  // detach the global cache again
 }
 
+TEST_F(DiskCacheTest, RejectedPayloadIsAMiss) {
+  DiskCache cache(DiskCacheConfig{dir_});
+  const CacheKey key = keyOf("rejected");
+  cache.store(key, "payload the caller cannot decode");
+  const std::uint64_t hits = cache.hits();
+  const std::uint64_t misses = cache.misses();
+  EXPECT_FALSE(cache.load(key, [](std::string_view) { return false; }).has_value());
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), misses + 1);
+  EXPECT_TRUE(cache.load(key, [](std::string_view) { return true; }).has_value());
+  EXPECT_EQ(cache.hits(), hits + 1);
+}
+
+TEST_F(DiskCacheTest, DeeplyNestedPayloadIsAMissAndTheScenarioRecomputes) {
+  DiskCache& disk = DiskCache::global();
+  disk.configure(DiskCacheConfig{dir_});
+  const Scenario scenario = scenarios().front();
+  const taint::AnalysisOptions topts;
+  const std::vector<model::Dependency> uncached =
+      runScenario(scenario, topts, nullptr, PipelineOptions{0, true, /*use_disk_cache=*/false});
+
+  // A valid entry header in front of 300,000 '[': the JSON parser's depth
+  // budget rejects the payload, so the load counts as a miss.
+  disk.store(scenarioCacheKey(scenario, topts, extractOptions()), std::string(300000, '['));
+  const std::uint64_t hits = disk.hits();
+  const std::uint64_t misses = disk.misses();
+  const std::vector<model::Dependency> recomputed =
+      runScenario(scenario, topts, nullptr, PipelineOptions{0, true, true});
+  EXPECT_EQ(disk.hits(), hits);
+  EXPECT_EQ(disk.misses(), misses + 1);
+  EXPECT_EQ(json::writeCompact(model::toJson(recomputed)),
+            json::writeCompact(model::toJson(uncached)));
+
+  disk.configure(DiskCacheConfig{});  // detach the global cache again
+}
+
 }  // namespace
 }  // namespace fsdep::corpus

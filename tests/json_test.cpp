@@ -82,6 +82,24 @@ TEST(JsonParse, Errors) {
   EXPECT_FALSE(parse("1 2").ok()) << "trailing garbage must be rejected";
 }
 
+TEST(JsonParse, NestingWithinTheBudgetParses) {
+  const std::string text =
+      std::string(kMaxDepth - 1, '[') + "{\"a\":1}" + std::string(kMaxDepth - 1, ']');
+  const auto v = parse(text);
+  ASSERT_TRUE(v.ok()) << v.error().message;
+  EXPECT_EQ(writeCompact(v.value()), text);
+}
+
+TEST(JsonParse, NestingPastTheBudgetIsATypedError) {
+  for (const std::string& text :
+       {std::string(kMaxDepth + 1, '['), std::string(200000, '['),
+        std::string(kMaxDepth, '[') + "{}" + std::string(kMaxDepth, ']')}) {
+    const auto v = parse(text);
+    ASSERT_FALSE(v.ok());
+    EXPECT_NE(v.error().message.find("nesting too deep"), std::string::npos) << v.error().message;
+  }
+}
+
 TEST(JsonParse, ErrorReportsLine) {
   const auto v = parse("{\n  \"a\": 1,\n  \"b\": oops\n}");
   ASSERT_FALSE(v.ok());

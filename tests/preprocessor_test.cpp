@@ -58,6 +58,38 @@ TEST(Preprocessor, SelfReferentialMacroDoesNotLoop) {
   EXPECT_EQ(spelling(r.tokens), "int X ;");
 }
 
+TEST(Preprocessor, MutuallyRecursiveMacrosStopAtTheRepeat) {
+  const auto r = preprocess("#define A B + 1\n#define B A * 2\nA B");
+  EXPECT_EQ(spelling(r.tokens), "A * 2 + 1 B + 1 * 2");
+  EXPECT_FALSE(r.had_errors);
+}
+
+/// "#define M0 M1" ... "#define M<depth-1> M<depth>", "#define M<depth> 7", then "M0".
+std::string macroChain(std::size_t depth) {
+  std::string text;
+  for (std::size_t i = 0; i < depth; ++i) {
+    text += "#define M" + std::to_string(i) + " M" + std::to_string(i + 1) + "\n";
+  }
+  return text + "#define M" + std::to_string(depth) + " 7\nM0 ;";
+}
+
+TEST(Preprocessor, MacroChainWithinTheBudgetExpands) {
+  const auto r = preprocess(macroChain(Preprocessor::kMaxMacroDepth - 1));
+  EXPECT_FALSE(r.had_errors);
+  EXPECT_EQ(spelling(r.tokens), "7 ;");
+}
+
+TEST(Preprocessor, MacroChainPastTheBudgetIsOneError) {
+  SourceManager sm;
+  DiagnosticEngine diags;
+  const FileId file = sm.addBuffer("main.c", macroChain(Preprocessor::kMaxMacroDepth) + " M0");
+  Preprocessor pp(sm, diags, [](std::string_view) { return std::nullopt; });
+  const std::vector<Token> tokens = pp.tokenize(file);
+  EXPECT_EQ(spelling(tokens), ";") << "each overflowing use expands to nothing";
+  EXPECT_EQ(diags.errorCount(), 2u) << "one diagnostic per overflowing use";
+  EXPECT_NE(diags.render(sm).find("macro expansion too deep"), std::string::npos);
+}
+
 TEST(Preprocessor, Undef) {
   const auto r = preprocess("#define N 1\n#undef N\nint N;");
   EXPECT_EQ(spelling(r.tokens), "int N ;");

@@ -86,6 +86,15 @@ TEST(ServeProtocol, PingAndUnknownTypeAndMalformedLine) {
   EXPECT_FALSE(not_object.find("ok")->asBool());
 }
 
+TEST(ServeProtocol, DeeplyNestedLineIsRejectedAndTheDaemonKeepsServing) {
+  ServeDaemon daemon(ServeOptions{testSocketPath("deep")});
+  json::Object deep = parseResponse(daemon.handleLine(std::string(200000, '[')));
+  EXPECT_FALSE(deep.find("ok")->asBool());
+  EXPECT_NE(errorOf(deep).find("nesting too deep"), std::string::npos) << errorOf(deep);
+  json::Object ping = parseResponse(daemon.handleLine(R"({"type":"ping"})"));
+  EXPECT_TRUE(ping.find("ok")->asBool());
+}
+
 TEST(ServeProtocol, ExtractMatchesDirectPipelineByteForByte) {
   ServeDaemon daemon(ServeOptions{testSocketPath("extract")});
   const std::string expected = directExtractText("s1");

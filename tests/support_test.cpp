@@ -208,6 +208,31 @@ TEST(Arena, MakeRunsTheTypesOwnInitializers) {
   EXPECT_EQ(*text, "zzz");
 }
 
+TEST(Arena, ArenaVectorGrowsInsideTheArena) {
+  Arena arena;
+  ArenaVector<std::uint32_t> list;
+  EXPECT_TRUE(list.empty());
+  for (std::uint32_t i = 0; i < 1000; ++i) list.push_back(arena, i * 3);
+  ASSERT_EQ(list.size(), 1000u);
+  for (std::uint32_t i = 0; i < 1000; ++i) EXPECT_EQ(list[i], i * 3);
+  // Capacities 2, 4, ..., 1024 were each taken from the arena once.
+  EXPECT_EQ(arena.bytesUsed(), 2046 * sizeof(std::uint32_t));
+  EXPECT_EQ(std::count_if(list.begin(), list.end(), [](std::uint32_t v) { return v % 2 == 0; }),
+            500);
+}
+
+TEST(Arena, ArenaResourceServesPmrContainersFromTheArena) {
+  Arena arena;
+  ArenaResource resource(arena);
+  std::pmr::vector<int> numbers(&resource);
+  numbers.assign(100, 7);
+  EXPECT_GE(arena.bytesUsed(), 100 * sizeof(int));
+  // A copy uses the default resource, so it does not depend on the arena.
+  const std::pmr::vector<int> copy = numbers;
+  EXPECT_NE(copy.get_allocator().resource(), &resource);
+  EXPECT_EQ(copy, numbers);
+}
+
 TEST(Diagnostics, CountsErrors) {
   DiagnosticEngine diags;
   EXPECT_FALSE(diags.hasErrors());

@@ -8,42 +8,20 @@
 // lexer_test and preprocessor_test cover those paths.
 #include <gtest/gtest.h>
 
-#include <cinttypes>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "corpus/amplify.h"
 #include "corpus/corpus.h"
 #include "corpus/disk_cache.h"
+#include "golden_digest.h"
 #include "lex/preprocessor.h"
 
 namespace fsdep::corpus {
 namespace {
 
-std::string hex(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
-  return buf;
-}
-
-/// "amp<digits>_" becomes "amp_" (see inter_golden_test), so the digest
-/// depends only on the corpus options, not the generation counter.
-std::string withoutGeneration(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    out.push_back(text[i]);
-    if (text.compare(i, 3, "amp") != 0) continue;
-    std::size_t j = i + 3;
-    while (j < text.size() && text[j] >= '0' && text[j] <= '9') ++j;
-    if (j > i + 3 && j < text.size() && text[j] == '_') {
-      out += "mp";
-      i = j - 1;  // resume at the '_'
-    }
-  }
-  return out;
-}
+using golden::hex;
+using golden::withoutGeneration;
 
 /// Appends one line per token of `component`'s preprocessed stream.
 void appendTokenStream(const std::string& component, std::string& out) {
