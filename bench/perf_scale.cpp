@@ -30,15 +30,6 @@ taint::AnalysisOptions inter() {
   return topts;
 }
 
-// The AST-walk oracle (--legacy-walk): same rounds, same results, but
-// every fixpoint visit re-interprets statement trees instead of running
-// the compiled Taint-IR. The Walk rows measure what the IR bought.
-taint::AnalysisOptions interWalk() {
-  taint::AnalysisOptions topts = inter();
-  topts.compile_ir = false;
-  return topts;
-}
-
 void runTable5Bench(benchmark::State& state, const taint::AnalysisOptions& topts) {
   const corpus::PipelineOptions pipeline{.jobs = 4, .use_cache = true};
   benchmark::DoNotOptimize(corpus::runTable5(topts, nullptr, pipeline));  // warm cache
@@ -52,9 +43,6 @@ BENCHMARK(BM_Table5IntraSeed)->Unit(benchmark::kMillisecond);
 
 void BM_Table5InterSeed(benchmark::State& state) { runTable5Bench(state, inter()); }
 BENCHMARK(BM_Table5InterSeed)->Unit(benchmark::kMillisecond);
-
-void BM_Table5InterWalkSeed(benchmark::State& state) { runTable5Bench(state, interWalk()); }
-BENCHMARK(BM_Table5InterWalkSeed)->Unit(benchmark::kMillisecond);
 
 /// Analyzes every amplified component (all functions) on the pool and
 /// extracts dependencies over the whole synthetic ecosystem — the
@@ -92,9 +80,6 @@ BENCHMARK(BM_AmplifiedInter)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
 
 void BM_AmplifiedIntra(benchmark::State& state) { runAmplifiedBench(state, {}); }
 BENCHMARK(BM_AmplifiedIntra)->Arg(100)->Unit(benchmark::kMillisecond);
-
-void BM_AmplifiedInterWalk(benchmark::State& state) { runAmplifiedBench(state, interWalk()); }
-BENCHMARK(BM_AmplifiedInterWalk)->Arg(100)->Unit(benchmark::kMillisecond);
 
 // Pure generation cost (registry rebuild included): the amplifier must
 // never dominate the pipeline it feeds.

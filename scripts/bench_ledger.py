@@ -19,10 +19,11 @@ Usage:
                           [--scale J] [--serve J]
 
 `update` rewrites the baseline files from the given benchmark outputs;
-`check` compares and exits nonzero on a gated regression. Suites whose
-input file is missing are skipped (so a pipeline-only run can still be
-checked). The tolerance can be widened with FSDEP_LEDGER_TOLERANCE
-(default 0.10 = 10%).
+`check` compares and exits nonzero on a gated regression, and on a
+baselined ratio the run did not produce (a benchmark it needs is
+missing from the output). Suites whose input file is missing are
+skipped (so a pipeline-only run can still be checked). The tolerance
+can be widened with FSDEP_LEDGER_TOLERANCE (default 0.10 = 10%).
 """
 
 import argparse
@@ -46,9 +47,6 @@ PIPELINE_RATIOS = {
 SCALE_RATIOS = {
     "scale_ratio": ("BM_AmplifiedInter/100_mean", "BM_Table5IntraSeed_mean", "lower"),
     "inter_overhead": ("BM_AmplifiedInter/100_mean", "BM_AmplifiedIntra/100_mean", "lower"),
-    # What compiling transfer functions to Taint-IR buys over the AST
-    # walk on the amplified corpus (end-to-end analyze+extract).
-    "ir_speedup": ("BM_AmplifiedInterWalk/100_mean", "BM_AmplifiedInter/100_mean", "higher"),
 }
 
 PIPELINE_ABSOLUTE = [
@@ -64,7 +62,6 @@ SCALE_ABSOLUTE = [
     "BM_Table5IntraSeed_mean",
     "BM_AmplifiedInter/100_mean",
     "BM_AmplifiedIntra/100_mean",
-    "BM_AmplifiedInterWalk/100_mean",
 ]
 
 
@@ -132,6 +129,10 @@ def compare(suite, baseline, current, tolerance):
     """Returns a list of failure strings; prints every comparison."""
     failures = []
     base_ratios = baseline.get("ratios", {})
+    for name in base_ratios:
+        if name not in current.get("ratios", {}):
+            print(f"{suite}/{name}: not produced by this run MISSING")
+            failures.append(f"{suite}/{name} has a baseline but this run did not produce it")
     for name, cur in current.get("ratios", {}).items():
         if name not in base_ratios:
             print(f"{suite}/{name}: {cur['value']:.3f} (no baseline — new ratio)")

@@ -3,10 +3,10 @@
 #   1. ASan+UBSan over the full suite (FSDEP_SANITIZE=address), and
 #   2. TSan over the concurrency-sensitive tests (FSDEP_SANITIZE=thread):
 #      the thread pool, the parse-once component cache, the parallel
-#      pipeline determinism suite (intra and inter), the inter golden,
-#      IR-equivalence and amplifier suites (which analyze shared cached
-#      components — and the shared per-component compiled-IR cache —
-#      from pool workers), the corpus/pipeline
+#      pipeline determinism suite (intra and inter, and the serial ≡
+#      parallel check of the shared per-component compiled-IR cache),
+#      the inter golden and amplifier suites (which analyze shared cached
+#      components from pool workers), the corpus/pipeline
 #      integration tests that drive them, the observability layer (whose trace
 #      buffers and metrics registry are written from every worker), and
 #      the campaign engine (whose determinism guarantee — bit-identical
@@ -31,7 +31,7 @@ echo "== TSan: concurrency tests =="
 cmake -B "$PREFIX-tsan" -S "$ROOT" -DFSDEP_SANITIZE=thread
 cmake --build "$PREFIX-tsan" -j "$JOBS" \
   --target thread_pool_test component_cache_test pipeline_determinism_test \
-           inter_golden_test ir_equivalence_test amplify_test \
+           inter_golden_test amplify_test \
            pipeline_test corpus_test obs_test obs_pipeline_test campaign_test \
            profile_test cli_obs_amplify_test disk_cache_test serve_test
 # Force multi-threaded execution even on single-core machines so TSan
@@ -40,7 +40,7 @@ cmake --build "$PREFIX-tsan" -j "$JOBS" \
 # trace+metrics+profile all enabled — the most write-heavy workload the
 # per-thread trace buffers see.
 for t in thread_pool_test component_cache_test pipeline_determinism_test \
-         inter_golden_test ir_equivalence_test amplify_test \
+         inter_golden_test amplify_test \
          pipeline_test corpus_test obs_test obs_pipeline_test campaign_test \
          profile_test cli_obs_amplify_test disk_cache_test serve_test; do
   echo "-- $t (FSDEP_JOBS=4)"

@@ -72,7 +72,6 @@ void mixOptions(CacheKey& key, const taint::AnalysisOptions& options) {
   key.mix("taint-options");
   key.mix(options.inter_procedural);
   key.mix(options.field_bridging);
-  key.mix(options.compile_ir);
   key.mix(static_cast<std::uint64_t>(options.max_trace_steps));
 }
 

@@ -43,11 +43,12 @@ namespace fsdep::corpus {
 /// Bump on any change to what a payload contains or how keys are built;
 /// entries written under other schema versions are never read (they live
 /// in a separate subdirectory and age out via LRU of their own tree).
-/// v2: AnalysisOptions::compile_ir joined the key fingerprint (Taint-IR
-/// engine vs legacy AST walk), so v1 trees no longer match any key.
+/// v2: an executor choice (compiled Taint-IR or an AST walk) joined the
+/// key fingerprint, so v1 trees no longer match any key.
 /// v3: the inter-procedural engine choice (`summaries`) and its pass cap
 /// (`max_global_passes`) left AnalysisOptions and the key fingerprint.
-inline constexpr int kDiskCacheSchemaVersion = 3;
+/// v4: the executor choice left them too; the Taint-IR is the only one.
+inline constexpr int kDiskCacheSchemaVersion = 4;
 
 /// Incremental 2x64-bit FNV-1a hasher for cache keys. Two independent
 /// offset bases give a 128-bit identity — enough that distinct requests
@@ -78,8 +79,7 @@ std::uint64_t contentDigest(std::string_view text);
 
 /// Folds every field of the analysis/extract options into the key, so an
 /// --inter result can never be served to an --intra request (and vice
-/// versa for bridging, the AST-walk oracle, trace budgets, parser tables,
-/// ...).
+/// versa for bridging, trace budgets, parser tables, ...).
 void mixOptions(CacheKey& key, const taint::AnalysisOptions& options);
 void mixOptions(CacheKey& key, const extract::ExtractOptions& options);
 

@@ -202,7 +202,7 @@ std::vector<Guard> collectGuards(const taint::Analyzer& analyzer, const sema::Se
                                  const std::vector<std::string>& error_functions) {
   std::vector<Guard> guards;
   for (const auto& result : analyzer.results()) {
-    const cfg::Cfg& cfg = *result->cfg;
+    const cfg::Cfg& cfg = *result->code->cfg;
     for (cfg::BlockId id = 0; id < cfg.size(); ++id) {
       const cfg::BasicBlock& block = cfg.block(id);
       if (block.condition == nullptr || block.is_switch_dispatch || block.is_loop_condition) {

@@ -186,19 +186,12 @@ void Analyzer::run(const std::vector<const FunctionDecl*>& functions) {
     if (fn == nullptr || !fn->isDefinition()) continue;
     ArenaPtr<FunctionTaint> result(arena_.make<FunctionTaint>(&state_memory_));
     result->fn = fn;
-    if (options_.compile_ir) {
-      // Compiled once per function and memoized (shared across warm runs
-      // via the component cache): CFG, RPO, and the flat instruction
-      // stream all come from the cache entry.
-      result->code = irCache().getOrCompile(*fn);
-      result->cfg = result->code->cfg;
-      result->rpo = result->code->rpo;
-      if (result->code->program.num_temps > ir_temps_.size()) {
-        ir_temps_.resize(result->code->program.num_temps);
-      }
-    } else {
-      result->cfg = cfg::Cfg::build(*fn);
-      result->rpo = result->cfg->reversePostOrder();
+    // Compiled once per function and memoized (shared across warm runs
+    // via the component cache): CFG, RPO, and the flat instruction
+    // stream all come from the cache entry.
+    result->code = irCache().getOrCompile(*fn);
+    if (result->code->program.num_temps > ir_temps_.size()) {
+      ir_temps_.resize(result->code->program.num_temps);
     }
     // A function listed twice gets two results but one slot; resultFor()
     // answers the later result.
@@ -256,7 +249,8 @@ void Analyzer::analyzeFunction(FunctionSlot& slot, FunctionTaint& result) {
   obs::Span span("taint", "fixpoint");
   span.arg("function", result.fn->name);
   const std::uint64_t stmts_before = stmt_visits_;
-  const cfg::Cfg& cfg = *result.cfg;
+  const ir::Program& prog = result.code->program;
+  const cfg::Cfg& cfg = *result.code->cfg;
   // The first analysis of the run makes the block states (in the arena);
   // a re-analysis empties them but keeps their storage.
   if (result.block_entry.empty()) {
@@ -272,7 +266,7 @@ void Analyzer::analyzeFunction(FunctionSlot& slot, FunctionTaint& result) {
   }
   seedEntryState(slot, result.block_entry[cfg.entry()]);
 
-  const std::vector<cfg::BlockId>& order = result.rpo;
+  const std::vector<cfg::BlockId>& order = result.code->rpo;
   // Dirty-block fixpoint: a block is reprocessed only when its entry
   // state grew since it last ran. The transfer side effects (traces,
   // write events) are idempotent and depend only on the entry state, so
@@ -287,19 +281,9 @@ void Analyzer::analyzeFunction(FunctionSlot& slot, FunctionTaint& result) {
     for (const cfg::BlockId id : order) {
       if (dirty_[id] == 0) continue;
       dirty_[id] = 0;
-      const cfg::BasicBlock& block = cfg.block(id);
       state = result.block_entry[id];
-      if (result.code != nullptr) {
-        execBlock(result.code->program, id, state, &result.at_condition);
-      } else {
-        for (const Stmt* s : block.stmts) transferStmt(*s, state);
-        if (block.inc_expr != nullptr) evalExpr(*block.inc_expr, state, /*effects=*/true);
-        if (block.condition != nullptr) {
-          result.at_condition[id] = state;
-          evalExpr(*block.condition, state, /*effects=*/true);
-        }
-      }
-      for (const cfg::Edge& e : block.successors) {
+      execBlock(prog, id, state, result.at_condition[id]);
+      for (const cfg::Edge& e : cfg.block(id).successors) {
         const bool grew = result.block_entry[e.target].mergeFrom(state);
         ++merge_calls_;
         merge_grew_ += grew ? 1 : 0;
@@ -322,17 +306,13 @@ void Analyzer::analyzeFunction(FunctionSlot& slot, FunctionTaint& result) {
   // record/trace side effects are idempotent, so replaying is safe).
   result.exit_state.clear();
   for (const cfg::BlockId id : order) {
-    const cfg::BasicBlock& block = cfg.block(id);
-    if (!block.is_exit) continue;
+    if (!cfg.block(id).is_exit) continue;
     state = result.block_entry[id];
-    if (result.code != nullptr) {
-      const ir::BlockRange& range = result.code->program.blocks[id];
-      ++ir_visits_;
-      stmt_visits_ += range.stmt_count;
-      execRange(result.code->program, range.stmts_begin, range.stmts_end, state);
-    } else {
-      for (const Stmt* s : block.stmts) transferStmt(*s, state);
-    }
+    const ir::BlockRange& range = prog.blocks[id];
+    ++ir_visits_;
+    stmt_visits_ += range.stmt_count;
+    ir_instrs_ += range.stmts_end - range.stmts_begin;
+    execRange(prog, range.stmts_begin, range.stmts_end, state);
     result.exit_state.mergeFrom(state);
   }
   span.arg("stmts", stmt_visits_ - stmts_before);
@@ -374,21 +354,36 @@ void Analyzer::recordReturn(const LabelSet& labels) {
 }
 
 void Analyzer::execBlock(const ir::Program& prog, cfg::BlockId id, TaintState& state,
-                         std::vector<TaintState>* at_condition) {
+                         TaintState& at_condition) {
   const ir::BlockRange& range = prog.blocks[id];
   ++ir_visits_;
   stmt_visits_ += range.stmt_count;
+  ir_instrs_ += range.cond_end - range.stmts_begin;
   execRange(prog, range.stmts_begin, range.stmts_end, state);
   execRange(prog, range.stmts_end, range.inc_end, state);
   if (range.has_condition) {
-    if (at_condition != nullptr) (*at_condition)[id] = state;
+    at_condition = state;
     execRange(prog, range.inc_end, range.cond_end, state);
   }
 }
 
+LabelSet Analyzer::labelsOf(const Expr& expr, const TaintState& state) const {
+  // A query program stores nothing and binds nothing, so `state` is only
+  // read. What the query does write — the scratch program, the temps and
+  // the interners — is the analyzer's own scratch.
+  auto* self = const_cast<Analyzer*>(this);
+  ir::Program& prog = self->query_;
+  const ir::TempId result = ir::lowerQuery(expr, prog);
+  if (prog.num_temps > ir_temps_.size()) self->ir_temps_.resize(prog.num_temps);
+  // Runs even when the value is statically empty: a discarded field read
+  // still interns.
+  self->execRange(prog, 0, static_cast<std::uint32_t>(prog.instrs.size()),
+                  const_cast<TaintState&>(state));
+  return result == ir::kNoTemp ? LabelSet{} : std::move(self->ir_temps_[result]);
+}
+
 void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint32_t end,
                          TaintState& state) {
-  ir_instrs_ += end - begin;
   std::vector<LabelSet>& temps = ir_temps_;
   const LabelSet no_labels;
   for (std::uint32_t pc = begin; pc < end; ++pc) {
@@ -400,8 +395,8 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
 
       case ir::Op::LoadField: {
         // Interning runs even for a discarded read (dst == kNoTemp):
-        // field-key and bridge-label id assignment is first-use ordered
-        // and semantically visible, exactly as in the AST walk.
+        // field-key and bridge-label ids are assigned in first-use order,
+        // which is semantically visible.
         const MemberExpr& m = *in.member;
         const FieldKeyId key = fieldIdFor(m);
         if (options_.field_bridging) {
@@ -428,7 +423,7 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
       case ir::Op::AssignVar: {
         const LabelSet* src = in.a == ir::kNoTemp ? nullptr : &temps[in.a];
         // Out-param stores only happen when the merged other-arg labels
-        // are non-empty (the AST walk never calls assignTo then).
+        // are non-empty.
         if (in.skip_if_empty && (src == nullptr || src->empty())) break;
         LabelSet merged = src != nullptr ? *src : LabelSet{};
         if (const auto sticky = sticky_.find(in.var); sticky != sticky_.end()) {
@@ -450,7 +445,7 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
       case ir::Op::AssignField: {
         const LabelSet* src = in.a == ir::kNoTemp ? nullptr : &temps[in.a];
         // Checked before interning: a skipped out-param store interns
-        // nothing in the AST walk either.
+        // nothing.
         if (in.skip_if_empty && (src == nullptr || src->empty())) break;
         const LabelSet& labels = src != nullptr ? *src : no_labels;
         const MemberExpr& m = *in.member;
@@ -507,234 +502,11 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
       }
 
       case ir::Op::Return:
-        if (current_result_ != nullptr) recordReturn(temps[in.a]);
+        // Only function bodies return (a query lowers no statement), and
+        // they run inside run(), which sets the current function.
+        recordReturn(temps[in.a]);
         break;
     }
-  }
-}
-
-void Analyzer::transferStmt(const Stmt& stmt, TaintState& state) {
-  ++stmt_visits_;
-  switch (stmt.kind()) {
-    case StmtKind::Decl: {
-      for (const auto& var : static_cast<const DeclStmt&>(stmt).vars) {
-        if (var->init == nullptr) continue;
-        LabelSet labels = evalExpr(*var->init, state, /*effects=*/true);
-        if (const auto sticky = sticky_.find(var.get()); sticky != sticky_.end()) {
-          unionInto(labels, sticky->second);
-        }
-        if (!labels.empty()) {
-          state.vars[var.get()] = labels;
-          const std::string& object = varNameFor(*var);
-          offerTrace(var.get(), object, var->loc, var->init.get(), "");
-          recordWrite(*var->init, object, /*is_field=*/false, labels, var->init.get(), var->loc,
-                      BinaryOp::Assign);
-        } else {
-          state.vars[var.get()].clear();
-        }
-      }
-      break;
-    }
-    case StmtKind::Expr:
-      evalExpr(*static_cast<const ExprStmt&>(stmt).expr, state, /*effects=*/true);
-      break;
-    case StmtKind::Return: {
-      const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      if (ret.value != nullptr && current_result_ != nullptr) {
-        recordReturn(evalExpr(*ret.value, state, /*effects=*/true));
-      }
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-LabelSet Analyzer::labelsOf(const Expr& expr, const TaintState& state) const {
-  // evalExpr with effects=false never mutates the state.
-  auto* self = const_cast<Analyzer*>(this);
-  return self->evalExpr(expr, const_cast<TaintState&>(state), /*effects=*/false);
-}
-
-LabelSet Analyzer::evalExpr(const Expr& expr, TaintState& state, bool effects) {
-  switch (expr.kind()) {
-    case ExprKind::IntLiteral:
-    case ExprKind::StringLiteral:
-    case ExprKind::SizeofType:
-      return {};
-
-    case ExprKind::DeclRef: {
-      const auto& ref = static_cast<const DeclRefExpr&>(expr);
-      if (ref.decl == nullptr) return {};
-      return state.varLabels(ref.decl);
-    }
-
-    case ExprKind::Unary: {
-      const auto& u = static_cast<const UnaryExpr&>(expr);
-      return evalExpr(*u.operand, state, effects);
-    }
-
-    case ExprKind::Binary: {
-      const auto& b = static_cast<const BinaryExpr&>(expr);
-      if (isAssignment(b.op)) {
-        // Only the RHS labels are the *new* contribution of this write;
-        // a compound assignment's old-value labels are already in the
-        // state (weak update) and must not be attributed to this write
-        // event, or every `features |= (flag ? MASK : 0)` would smear the
-        // earlier flags onto later masks.
-        LabelSet labels = evalExpr(*b.rhs, state, effects);
-        if (effects) {
-          assignTo(*b.lhs, b.rhs.get(), labels, b.op == BinaryOp::Assign, state, expr.loc, b.op);
-        }
-        if (b.op != BinaryOp::Assign) {
-          // The expression's VALUE still depends on the old contents.
-          unionInto(labels, evalExpr(*b.lhs, state, /*effects=*/false));
-        }
-        return labels;
-      }
-      LabelSet labels = evalExpr(*b.lhs, state, effects);
-      unionInto(labels, evalExpr(*b.rhs, state, effects));
-      return labels;
-    }
-
-    case ExprKind::Conditional: {
-      // The value of `cond ? a : b` is strictly determined by the
-      // condition, so the condition's labels flow to the result. This is
-      // the one controlled implicit flow the analysis tracks; it is what
-      // lets feature-flag parameters reach the feature bitmap through the
-      // idiomatic `sb->s_feature_x |= (flag ? MASK : 0)`.
-      const auto& c = static_cast<const ConditionalExpr&>(expr);
-      LabelSet labels = evalExpr(*c.cond, state, effects);
-      unionInto(labels, evalExpr(*c.then_expr, state, effects));
-      unionInto(labels, evalExpr(*c.else_expr, state, effects));
-      return labels;
-    }
-
-    case ExprKind::Call: {
-      const auto& call = static_cast<const CallExpr&>(expr);
-      LabelSet arg_labels;
-      std::vector<LabelSet> per_arg;
-      per_arg.reserve(call.args.size());
-      for (const ExprPtr& a : call.args) {
-        per_arg.push_back(evalExpr(*a, state, effects));
-        unionInto(arg_labels, per_arg.back());
-      }
-
-      // Out-parameters: foo(&x, src) may write src's labels into x.
-      if (effects) {
-        for (std::size_t i = 0; i < call.args.size(); ++i) {
-          const Expr* a = call.args[i].get();
-          if (a->kind() != ExprKind::Unary) continue;
-          const auto& u = static_cast<const UnaryExpr&>(*a);
-          if (u.op != UnaryOp::AddrOf) continue;
-          LabelSet others;
-          for (std::size_t j = 0; j < per_arg.size(); ++j) {
-            if (j != i) unionInto(others, per_arg[j]);
-          }
-          if (!others.empty()) {
-            assignTo(*u.operand, nullptr, others, /*strong=*/false, state, expr.loc);
-          }
-        }
-      }
-
-      if (options_.inter_procedural && call.callee_decl != nullptr &&
-          call.callee_decl->isDefinition()) {
-        const FunctionDecl* callee = call.callee_decl;
-        if (effects) {
-          for (std::size_t i = 0; i < call.args.size() && i < callee->params.size(); ++i) {
-            if (!per_arg[i].empty()) bindArgument(callee, i, per_arg[i]);
-          }
-        }
-        if (const LabelSet* summary = returnSummary(callee)) unionInto(arg_labels, *summary);
-      }
-      return arg_labels;
-    }
-
-    case ExprKind::Member: {
-      const auto& m = static_cast<const MemberExpr&>(expr);
-      evalExpr(*m.base, state, effects);
-      if (m.record == nullptr || m.field == nullptr) return {};
-      const FieldKeyId key = fieldIdFor(m);
-      LabelSet labels = state.fieldLabels(key);
-      if (options_.field_bridging) {
-        labels.insert(bridgeLabelFor(m, key));
-      }
-      return labels;
-    }
-
-    case ExprKind::Index: {
-      const auto& i = static_cast<const IndexExpr&>(expr);
-      evalExpr(*i.index, state, effects);
-      return evalExpr(*i.base, state, effects);
-    }
-
-    case ExprKind::Cast:
-      return evalExpr(*static_cast<const CastExpr&>(expr).operand, state, effects);
-
-    case ExprKind::InitList: {
-      LabelSet labels;
-      for (const ExprPtr& e : static_cast<const InitListExpr&>(expr).elements) {
-        unionInto(labels, evalExpr(*e, state, effects));
-      }
-      return labels;
-    }
-  }
-  return {};
-}
-
-void Analyzer::assignTo(const Expr& lhs, const Expr* rhs, const LabelSet& labels, bool strong,
-                        TaintState& state, SourceLoc loc, BinaryOp op) {
-  switch (lhs.kind()) {
-    case ExprKind::DeclRef: {
-      const auto& ref = static_cast<const DeclRefExpr&>(lhs);
-      if (ref.decl == nullptr) return;
-      LabelSet merged = labels;
-      if (const auto sticky = sticky_.find(ref.decl); sticky != sticky_.end()) {
-        unionInto(merged, sticky->second);
-      }
-      if (strong) {
-        state.vars[ref.decl] = merged;
-      } else {
-        unionInto(state.vars[ref.decl], merged);
-      }
-      if (!merged.empty()) {
-        const std::string& object = varNameFor(*ref.decl);
-        offerTrace(&lhs, object, loc, rhs, "<call out-param>");
-        recordWrite(lhs, object, /*is_field=*/false, merged, rhs, loc, op);
-      }
-      break;
-    }
-    case ExprKind::Member: {
-      const auto& m = static_cast<const MemberExpr&>(lhs);
-      if (m.record == nullptr || m.field == nullptr) return;
-      const FieldKeyId id = fieldIdFor(m);
-      // Fields are object-insensitive: always a weak update.
-      unionInto(state.fields[id], labels);
-      unionInto(field_writes_[id], labels);
-      if (!labels.empty()) {
-        const std::string& key = field_keys_.key(id);
-        offerTrace(&lhs, key, loc, rhs, "<expr>");
-        recordWrite(lhs, key, /*is_field=*/true, labels, rhs, loc, op);
-      }
-      break;
-    }
-    case ExprKind::Index: {
-      const auto& i = static_cast<const IndexExpr&>(lhs);
-      assignTo(*i.base, rhs, labels, /*strong=*/false, state, loc, op);
-      break;
-    }
-    case ExprKind::Unary: {
-      const auto& u = static_cast<const UnaryExpr&>(lhs);
-      if (u.op == UnaryOp::Deref || u.op == UnaryOp::AddrOf) {
-        assignTo(*u.operand, rhs, labels, /*strong=*/false, state, loc, op);
-      }
-      break;
-    }
-    case ExprKind::Cast:
-      assignTo(*static_cast<const CastExpr&>(lhs).operand, rhs, labels, strong, state, loc, op);
-      break;
-    default:
-      break;
   }
 }
 

@@ -45,12 +45,6 @@ struct AnalysisOptions {
   /// When false, reading a metadata field does not produce the field's
   /// bridge label; CCD extraction then finds nothing (ablation knob).
   bool field_bridging = true;
-  /// Execute transfer functions as compiled Taint-IR: each function's
-  /// CFG blocks are lowered once into a flat instruction stream (see
-  /// taint/ir.h) and every fixpoint visit runs the stream instead of
-  /// re-walking AST statements. The AST walk stays available as the
-  /// byte-equivalence oracle behind --legacy-walk (false).
-  bool compile_ir = true;
   std::size_t max_trace_steps = 24;
 
   bool operator==(const AnalysisOptions& other) const = default;
@@ -94,15 +88,9 @@ struct FunctionTaint {
   explicit FunctionTaint(std::pmr::memory_resource* states) : exit_state(states) {}
 
   const ast::FunctionDecl* fn = nullptr;
-  /// Shared with the compiled IR when compile_ir is on (the IR cache
-  /// owns the build); built per run in legacy-walk mode.
-  std::shared_ptr<const cfg::Cfg> cfg;
-  /// Compiled Taint-IR of this function; null in legacy-walk mode.
+  /// Compiled Taint-IR of this function: its CFG, the CFG's reverse
+  /// post-order and the instruction stream, shared through the IR cache.
   std::shared_ptr<const ir::CompiledFunction> code;
-  /// Reverse post-order of `cfg`, computed once per run and shared by
-  /// every fixpoint over this function (one per worklist round that
-  /// analyzes it) and the exit replay.
-  std::vector<cfg::BlockId> rpo;
   /// Entry state of each basic block after the fixpoint (indexed by id).
   std::vector<TaintState> block_entry;
   /// State at the point each block's branch condition is evaluated.
@@ -149,7 +137,12 @@ class Analyzer {
   /// when the object never got tainted. Valid until the next run().
   [[nodiscard]] const std::vector<TraceStep>* traceFor(std::string_view object) const;
 
-  /// Labels an expression may carry in `state` (no side effects applied).
+  /// Labels an expression may carry in `state`. The expression is
+  /// lowered as an IR query (ir::lowerQuery) into a scratch program and
+  /// executed against `state`, which it only reads. Like the run, it
+  /// interns what it reads in first-use order (the guard-query goldens
+  /// pin the labels it leaves behind); it adds nothing to the run's
+  /// counters.
   [[nodiscard]] LabelSet labelsOf(const ast::Expr& expr, const TaintState& state) const;
 
   [[nodiscard]] const AnalysisOptions& options() const { return options_; }
@@ -161,14 +154,12 @@ class Analyzer {
   [[nodiscard]] std::uint64_t mergeCalls() const { return merge_calls_; }
   [[nodiscard]] std::uint64_t mergeGrew() const { return merge_grew_; }
 
-  /// Statements visited by transferStmt() across every fixpoint sweep of
-  /// the run — the AST tree-walk floor the profile attributes time to.
-  /// The IR engine mirrors the same counts (per-block statement totals),
-  /// so both engines report identical visits.
+  /// Statements of the blocks visited across every fixpoint sweep and
+  /// exit replay of the run (each visit counts its block's statements).
   [[nodiscard]] std::uint64_t stmtVisits() const { return stmt_visits_; }
 
   /// Taint-IR instrumentation of the last run(): instructions executed
-  /// and block-section program executions. Zero in legacy-walk mode.
+  /// and block visits (fixpoint visits and exit replays).
   [[nodiscard]] std::uint64_t irInstrs() const { return ir_instrs_; }
   [[nodiscard]] std::uint64_t irVisits() const { return ir_visits_; }
 
@@ -220,29 +211,25 @@ class Analyzer {
   void resolveSeeds(FunctionSlot& slot);
   void seedEntryState(FunctionSlot& slot, TaintState& state);
   void analyzeFunction(FunctionSlot& slot, FunctionTaint& result);
-  /// Inter-procedural call bookkeeping shared by both executors: an
-  /// argument binding that grows re-queues the callee, and reading a
-  /// callee's return summary registers the current function as a caller
-  /// to re-queue when that summary grows.
+  /// Inter-procedural call bookkeeping: an argument binding that grows
+  /// re-queues the callee, and reading a callee's return summary
+  /// registers the current function as a caller to re-queue when that
+  /// summary grows.
   void bindArgument(const ast::FunctionDecl* callee, std::size_t index, const LabelSet& labels);
   [[nodiscard]] const LabelSet* returnSummary(const ast::FunctionDecl* callee);
   /// Return-value sink: the current function's return labels and, in
   /// inter mode, its return summary.
   void recordReturn(const LabelSet& labels);
-  /// Executes one instruction range of a compiled function against
-  /// `state` — the IR twin of transferStmt/evalExpr, sharing the same
-  /// recording helpers so all side effects stay byte-identical.
+  /// Executes one instruction range of a compiled function (or of the
+  /// query program) against `state`. Counts nothing: the callers that
+  /// run blocks count the visit.
   void execRange(const ir::Program& prog, std::uint32_t begin, std::uint32_t end,
                  TaintState& state);
-  /// Runs one block section set: stmts, inc, and (when requested via
-  /// `snapshot`) the at_condition snapshot before the condition range.
+  /// Runs one block: stmts, inc, and the condition, snapshotting the
+  /// state into `at_condition` before the condition runs.
   void execBlock(const ir::Program& prog, cfg::BlockId id, TaintState& state,
-                 std::vector<TaintState>* at_condition);
+                 TaintState& at_condition);
   [[nodiscard]] ir::IrCache& irCache();
-  void transferStmt(const ast::Stmt& stmt, TaintState& state);
-  LabelSet evalExpr(const ast::Expr& expr, TaintState& state, bool effects);
-  void assignTo(const ast::Expr& lhs, const ast::Expr* rhs, const LabelSet& labels, bool strong,
-                TaintState& state, SourceLoc loc, ast::BinaryOp op = ast::BinaryOp::Assign);
   /// Offers the trace step of one assignment site, at most once per run
   /// (a site's object, location and text never change, so later offers
   /// would record nothing).
@@ -316,10 +303,12 @@ class Analyzer {
   std::uint64_t ir_visits_ = 0;
   std::uint64_t concrete_skips_ = 0;
 
-  /// Compilation memo (shared via setIrCache, else lazily private) and
-  /// the temp scratchpad the interpreter reuses across block visits.
+  /// Compilation memo (shared via setIrCache, else lazily private), the
+  /// temp scratchpad the interpreter reuses across block visits and
+  /// queries, and the program labelsOf() lowers each query into.
   std::shared_ptr<ir::IrCache> ir_cache_;
   std::vector<LabelSet> ir_temps_;
+  ir::Program query_;
   /// Every block visit and exit replay runs in this one state (filled
   /// from the block's entry state), and the fixpoint's dirty flags are
   /// reused too, so a visit allocates only when a state outgrows them.

@@ -29,15 +29,19 @@ using ast::StmtKind;
 using ast::UnaryExpr;
 using ast::UnaryOp;
 
-// Mirrors Analyzer::evalExpr / assignTo / transferStmt structurally: the
-// same recursion, with values that are statically empty folded away and
-// assignment targets pre-resolved. `want` tracks whether the produced
-// value is consumed; pure loads for discarded values are elided, but
-// anything that interns at runtime (field reads) is emitted regardless
-// so interning order matches the AST walk exactly.
+// One recursion over statements, expressions and assignment targets,
+// with values that are statically empty folded away and assignment
+// targets pre-resolved. `want` tracks whether the produced value is
+// consumed; pure loads for discarded values are elided, but anything
+// that interns at runtime (field reads) is emitted regardless, so ids
+// are assigned in first-use order whatever the value is used for.
 class Lowerer {
  public:
   explicit Lowerer(Program& prog) : prog_(prog) {}
+
+  TempId lowerQuery(const Expr& expr) {
+    return lowerExpr(expr, /*effects=*/false, /*want=*/true);
+  }
 
   void lowerBlock(const cfg::BasicBlock& block) {
     BlockRange range;
@@ -325,6 +329,15 @@ std::shared_ptr<const CompiledFunction> compile(const ast::FunctionDecl& fn) {
     lowerer.lowerBlock(out->cfg->block(static_cast<cfg::BlockId>(id)));
   }
   return out;
+}
+
+TempId lowerQuery(const ast::Expr& expr, Program& prog) {
+  prog.instrs.clear();
+  prog.calls.clear();
+  prog.call_args.clear();
+  prog.blocks.clear();
+  prog.num_temps = 0;
+  return Lowerer(prog).lowerQuery(expr);
 }
 
 std::shared_ptr<const CompiledFunction> IrCache::getOrCompile(const ast::FunctionDecl& fn) {

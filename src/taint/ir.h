@@ -1,11 +1,12 @@
 // Taint-IR: each function's CFG basic blocks lowered once into a flat
-// instruction stream the fixpoint engine executes instead of re-walking
-// AST statement trees on every visit. Lowering is pure — it reads the
-// AST/CFG and interns nothing — so a compiled function is shared across
-// analyzer instances (and across warm pipeline runs via the component
-// cache); label and field-key interning stays a runtime effect of
-// executing the instructions, which keeps id assignment in first-use
-// order, byte-identical to the AST walk.
+// instruction stream, the one form the analyzer executes — fixpoint
+// visits, the exit replay and the extractor's label queries alike.
+// Lowering is pure — it reads the AST/CFG and interns nothing — so a
+// compiled function is shared across analyzer instances (and across warm
+// pipeline runs via the component cache). Label and field-key interning
+// is a runtime effect of executing the instructions, so ids are assigned
+// in first-use order: every field read interns when it executes, even
+// when its value is discarded. The golden digests pin that order.
 //
 // Statically-empty values (literals, sizeof, unresolved decl refs) lower
 // to the kNoTemp sentinel and their unions are elided at compile time;
@@ -57,9 +58,9 @@ struct Instr {
   Op op = Op::Copy;
   /// AssignVar: strong (killing) update vs weak union.
   bool strong = false;
-  /// Out-param stores: the AST walk only calls assignTo when the merged
-  /// other-arg labels are non-empty, so the store (including its field
-  /// interning) must be skipped on an empty source.
+  /// Out-param stores happen only when the merged other-arg labels are
+  /// non-empty; on an empty source the store, field interning included,
+  /// is skipped.
   bool skip_if_empty = false;
   /// Assign ops: the operator recorded on the write event.
   ast::BinaryOp aop = ast::BinaryOp::Assign;
@@ -98,8 +99,8 @@ struct BlockRange {
   std::uint32_t stmts_end = 0;
   std::uint32_t inc_end = 0;
   std::uint32_t cond_end = 0;
-  /// Statement count of the stmts section, mirrored into the
-  /// taint.stmt_visits counter so both engines report identical visits.
+  /// Statement count of the stmts section, added to the
+  /// taint.stmt_visits counter on each visit of the block.
   std::uint32_t stmt_count = 0;
   bool has_condition = false;
 };
@@ -121,6 +122,13 @@ struct CompiledFunction {
 /// Builds the CFG for fn and lowers every block. Pure: no interning, no
 /// analyzer state — the result depends only on the AST.
 std::shared_ptr<const CompiledFunction> compile(const ast::FunctionDecl& fn);
+
+/// Lowers `expr` as a query into `prog`, replacing what it held: effects
+/// off, value wanted. The program emits no store and binds no argument,
+/// so running it only reads the state it runs against; it still interns
+/// every field the expression reads. Returns the temp that holds the
+/// expression's labels, or kNoTemp when they are statically empty.
+TempId lowerQuery(const ast::Expr& expr, Program& prog);
 
 /// Per-component compilation memo, shared across analyzer instances via
 /// the ComponentCache entry so warm runs skip CFG construction and

@@ -250,7 +250,6 @@ CommandResult failure(const std::string& message, int exit_code = 2) {
 taint::AnalysisOptions taintOptions(const Options& options) {
   taint::AnalysisOptions topts;
   topts.inter_procedural = options.on("inter");
-  topts.compile_ir = !options.on("legacy-walk");
   return topts;
 }
 
@@ -936,7 +935,6 @@ Command command(std::string name, std::string summary, std::vector<OptionSpec> o
                                       : "inter-procedural taint (default: FSDEP_INTER env "
                                         "var, else intra)"));
     options.push_back(sw("intra", "force intra-procedural taint (beats --inter/FSDEP_INTER)"));
-    options.push_back(sw("legacy-walk", "AST-walk oracle instead of compiled Taint-IR"));
   }
   return Command{std::move(name), std::move(summary), std::move(options), engine, run};
 }

@@ -46,7 +46,7 @@ struct OptionSpec {
   bool repeatable = false;
 };
 
-/// The taint-engine group (--inter, --intra, --legacy-walk) and where
+/// The taint-engine group (--inter, --intra) and where
 /// its default comes from when neither --inter nor --intra is given.
 /// --intra beats --inter.
 enum class Engine { None, EnvDefault, Inter };

@@ -295,6 +295,13 @@ TEST(CliObs, UnknownArgumentsFailLoudly) {
                         Case{"xfs --legacy-passes", "unknown argument '--legacy-passes'"},
                         Case{"check tool.c --legacy-passes", "unknown argument '--legacy-passes'"},
                         Case{"query --legacy-passes", "unknown argument '--legacy-passes'"},
+                        Case{"extract --legacy-walk", "unknown argument '--legacy-walk'"},
+                        Case{"table5 --legacy-walk", "unknown argument '--legacy-walk'"},
+                        Case{"amplify --factor 1 --legacy-walk",
+                             "unknown argument '--legacy-walk'"},
+                        Case{"xfs --legacy-walk", "unknown argument '--legacy-walk'"},
+                        Case{"check tool.c --legacy-walk", "unknown argument '--legacy-walk'"},
+                        Case{"query --legacy-walk", "unknown argument '--legacy-walk'"},
                         Case{"graph --selfdeps", "unknown argument '--selfdeps'"},
                         Case{"bugck --runs abc", "--runs expects an integer, got 'abc'"},
                         Case{serve.c_str(), "unknown argument '--sockt'"},

@@ -149,16 +149,16 @@ TEST_F(DiskCacheTest, SchemaVersionBumpInvalidatesCleanly) {
   EXPECT_EQ(*old_cache.load(key), "written by the old schema");
 }
 
-// The v1 → v2 bump (AnalysisOptions::compile_ir joined the key
-// fingerprint) must leave pre-existing v1 trees on disk exactly as the
-// old binary wrote them: a v2 cache over the same directory reads them
-// as misses — never errors — and populates its own v2 tree alongside.
+// A schema bump (v3 → v4: the executor choice left the key fingerprint)
+// must leave the previous version's tree on disk exactly as the old
+// binary wrote it: a current cache over the same directory reads it as
+// misses — never errors — and populates its own tree alongside.
 TEST_F(DiskCacheTest, OldSchemaTreesCoexistAndReadAsMisses) {
-  static_assert(kDiskCacheSchemaVersion >= 2,
-                "the IR-bearing entries bumped the schema to at least v2");
+  static_assert(kDiskCacheSchemaVersion >= 4,
+                "dropping the executor choice from the key bumped the schema to v4");
   DiskCache v1(DiskCacheConfig{dir_, 512, kDiskCacheSchemaVersion - 1});
-  const CacheKey key = keyOf("ir-schema-bump");
-  v1.store(key, "pre-IR entry");
+  const CacheKey key = keyOf("schema-bump");
+  v1.store(key, "previous-schema entry");
   ASSERT_TRUE(v1.load(key).has_value());
 
   DiskCache current(DiskCacheConfig{dir_});  // defaults to kDiskCacheSchemaVersion
@@ -168,8 +168,8 @@ TEST_F(DiskCacheTest, OldSchemaTreesCoexistAndReadAsMisses) {
   EXPECT_EQ(current.misses(), 1u);
   EXPECT_EQ(current.entryCount(), 0u) << "the old tree must not count as current entries";
 
-  current.store(key, "IR-bearing entry");
-  EXPECT_EQ(*current.load(key), "IR-bearing entry");
+  current.store(key, "current-schema entry");
+  EXPECT_EQ(*current.load(key), "current-schema entry");
 
   // Both version trees exist side by side, each still serving its own
   // binary; invalidating the current schema leaves the old tree alone.
@@ -177,11 +177,11 @@ TEST_F(DiskCacheTest, OldSchemaTreesCoexistAndReadAsMisses) {
   const std::string new_tree = dir_ + "/v" + std::to_string(kDiskCacheSchemaVersion);
   EXPECT_TRUE(fs::is_directory(old_tree));
   EXPECT_TRUE(fs::is_directory(new_tree));
-  EXPECT_EQ(*v1.load(key), "pre-IR entry");
+  EXPECT_EQ(*v1.load(key), "previous-schema entry");
 
   current.invalidateAll();
   EXPECT_FALSE(fs::exists(new_tree));
-  EXPECT_EQ(*v1.load(key), "pre-IR entry") << "invalidateAll must be schema-scoped";
+  EXPECT_EQ(*v1.load(key), "previous-schema entry") << "invalidateAll must be schema-scoped";
 }
 
 TEST_F(DiskCacheTest, AnalysisOptionsChangeProducesDifferentKeys) {

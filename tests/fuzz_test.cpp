@@ -231,17 +231,14 @@ TEST(FrontendDepth, DeepestAcceptedInputsRunThroughTheWholePipeline) {
     sema::Sema sema(*tu, diags);
     ASSERT_TRUE(sema.run()) << diags.render(sm);
     for (const bool inter : {false, true}) {
-      for (const bool compile_ir : {true, false}) {  // IR executor and the AST walk
-        taint::AnalysisOptions options;
-        options.inter_procedural = inter;
-        options.compile_ir = compile_ir;
-        taint::Analyzer analyzer(*tu, sema, options);
-        analyzer.addSeed({"f", "a", "deep.a"});
-        analyzer.run();
-        const taint::FunctionTaint* ft = analyzer.resultFor("f");
-        ASSERT_NE(ft, nullptr);
-        EXPECT_FALSE(ft->return_labels.empty()) << shape(1, repeat) << " depth " << lo;
-      }
+      taint::AnalysisOptions options;
+      options.inter_procedural = inter;
+      taint::Analyzer analyzer(*tu, sema, options);
+      analyzer.addSeed({"f", "a", "deep.a"});
+      analyzer.run();
+      const taint::FunctionTaint* ft = analyzer.resultFor("f");
+      ASSERT_NE(ft, nullptr);
+      EXPECT_FALSE(ft->return_labels.empty()) << shape(1, repeat) << " depth " << lo;
     }
     const ast::FunctionDecl* fn = tu->findFunction("f");
     ASSERT_NE(fn, nullptr);

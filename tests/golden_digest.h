@@ -1,6 +1,7 @@
 // Helpers shared by the golden-digest tests (token, intra and inter):
 // hex rendering, the amplifier's generation-prefix normalization, and
-// the canonical text of an analyzer run. A digest is
+// the canonical texts of an analyzer run and of the queries extraction
+// asks it afterwards. A digest is
 // corpus::contentDigest over that text, so any change to it is a change
 // in observable output.
 #pragma once
@@ -12,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "extract/guards.h"
 #include "json/json.h"
 #include "model/serialization.h"
 #include "taint/analyzer.h"
@@ -85,6 +87,47 @@ inline std::string analyzerState(const taint::Analyzer& a) {
     }
   }
   return out;
+}
+
+/// The fixpoint counters of the analyzer's last run.
+inline std::string runCounters(const taint::Analyzer& a) {
+  return "stmt_visits=" + std::to_string(a.stmtVisits()) +
+         " ir_instrs=" + std::to_string(a.irInstrs()) +
+         " ir_visits=" + std::to_string(a.irVisits()) +
+         " merge_calls=" + std::to_string(a.mergeCalls()) +
+         " concrete_skips=" + std::to_string(a.concreteSkips()) + "\n";
+}
+
+/// Canonical text of what extraction asks an analyzer after its run:
+/// Analyzer::labelsOf on every guard condition collectGuards finds and on
+/// each DNF atom's expression and comparison sides, in that order. Then
+/// the label table the queries leave behind (a query may intern, so this
+/// pins the post-run interning order), then the fixpoint counters, which
+/// the queries must not move.
+inline std::string guardQueries(const taint::Analyzer& a, const sema::Sema& sema,
+                                const std::vector<std::string>& error_functions) {
+  const taint::LabelTable& labels = a.labels();
+  std::string out = "guards\n";
+  for (const extract::Guard& guard : extract::collectGuards(a, sema, error_functions)) {
+    const auto query = [&](const ast::Expr& expr) {
+      return taint::labelSetToString(labels, a.labelsOf(expr, *guard.state));
+    };
+    out += guard.fn->name + " block=" + std::to_string(guard.block) +
+           " disposition=" + std::to_string(static_cast<int>(guard.disposition)) + " " +
+           query(*guard.condition) + "\n";
+    for (std::size_t v = 0; v < guard.violations.size(); ++v) {
+      for (const extract::Atom& atom : guard.violations[v]) {
+        out += "  " + std::to_string(v) + (atom.negated ? " !" : " ") + query(*atom.expr);
+        if (atom.is_comparison) out += " lhs=" + query(*atom.lhs) + " rhs=" + query(*atom.rhs);
+        out += "\n";
+      }
+    }
+  }
+  out += "labels\n";
+  for (taint::LabelId id = 0; id < labels.size(); ++id) {
+    out += std::to_string(id) + " " + labels.name(id) + "\n";
+  }
+  return out + runCounters(a);
 }
 
 inline std::string depsJson(const std::vector<model::Dependency>& deps) {

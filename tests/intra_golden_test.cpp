@@ -2,7 +2,10 @@
 // the CLI default). Each digest is corpus::contentDigest over the
 // canonical text of golden_digest.h, recorded from the analyzer that
 // copied each block's entry state per visit and kept its per-run tables
-// in std::map. Any change to a digest is a change in observable output.
+// in std::map. The guard-query, factor-50 and counter digests were
+// recorded from the analyzer that still answered Analyzer::labelsOf by
+// walking the AST. Any change to a digest is a change in observable
+// output.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -20,7 +23,9 @@ namespace {
 
 using golden::analyzerState;
 using golden::depsJson;
+using golden::guardQueries;
 using golden::hex;
+using golden::runCounters;
 using golden::withoutGeneration;
 
 struct Golden {
@@ -50,10 +55,31 @@ constexpr Golden kScenarios[] = {
 constexpr std::uint64_t kAmplifiedState = 0x406eb4fd550b272bull;
 constexpr std::uint64_t kAmplifiedDeps = 0xb176c002923021a4ull;
 
-TEST(IntraGolden, SeedComponentAnalyzerState) {
+// Guard queries (golden::guardQueries) of every seed component, in the
+// order of kComponents, and of the factor-5 seed-42 corpus.
+constexpr std::uint64_t kComponentQueries[] = {
+    0x90fbf73519038023ull, 0x982c2f5be2683260ull, 0x4b5a9d3f4f741936ull,
+    0x954dfe21f0670ef0ull, 0xd5816a443a6e9d3aull, 0xabf6bdf5bb18fdc0ull,
+    0xe35f93884c694608ull, 0x0019f96f55900b6aull, 0x18a1fcf439c41546ull,
+    0x5d75a1cc2f609426ull, 0x6dfd1442440ea8b9ull, 0xe77e415e47e0c517ull,
+};
+constexpr std::uint64_t kAmplifiedQueries = 0xbfe6680b260dc0b5ull;
+
+// Factor 50, seed 42: analyzer state, dependencies, and the fixpoint
+// counters read after extraction.
+constexpr std::uint64_t kAmplified50State = 0x1d3e34d1b9d62e1cull;
+constexpr std::uint64_t kAmplified50Deps = 0x3968060002fa5372ull;
+constexpr std::uint64_t kAmplified50Counters = 0x59432975b9a5f94cull;
+
+std::vector<std::string> seedComponentNames() {
   std::vector<std::string> names = componentNames();
   for (const std::string& n : xfsComponentNames()) names.push_back(n);
   for (const std::string& n : btrfsComponentNames()) names.push_back(n);
+  return names;
+}
+
+TEST(IntraGolden, SeedComponentAnalyzerState) {
+  const std::vector<std::string> names = seedComponentNames();
   ASSERT_EQ(names.size(), std::size(kComponents));
   for (std::size_t i = 0; i < names.size(); ++i) {
     AnalyzedComponent component(names[i], taint::AnalysisOptions{});
@@ -98,6 +124,53 @@ TEST(IntraGolden, AmplifiedCorpus) {
       extract::extractDependencies(runs, amplifiedExtractOptions());
   EXPECT_EQ(hex(contentDigest(withoutGeneration(state))), hex(kAmplifiedState));
   EXPECT_EQ(hex(contentDigest(withoutGeneration(depsJson(deps)))), hex(kAmplifiedDeps));
+}
+
+TEST(IntraGolden, SeedComponentGuardQueries) {
+  const std::vector<std::string> names = seedComponentNames();
+  ASSERT_EQ(names.size(), std::size(kComponentQueries));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    AnalyzedComponent component(names[i], taint::AnalysisOptions{});
+    component.analyze({});
+    const std::string queries = guardQueries(component.analyzer(), component.semaRef(),
+                                             extractOptions().error_functions);
+    EXPECT_EQ(hex(contentDigest(queries)), hex(kComponentQueries[i])) << names[i];
+  }
+}
+
+TEST(IntraGolden, AmplifiedGuardQueries) {
+  const std::vector<std::string> names = amplifyCorpus({.factor = 5, .seed = 42});
+  std::string queries;
+  for (const std::string& name : names) {
+    AnalyzedComponent component(name, taint::AnalysisOptions{});
+    component.analyze({});
+    queries += name + "\n" +
+               guardQueries(component.analyzer(), component.semaRef(),
+                            amplifiedExtractOptions().error_functions);
+  }
+  EXPECT_EQ(hex(contentDigest(withoutGeneration(queries))), hex(kAmplifiedQueries));
+}
+
+TEST(IntraGolden, AmplifiedCorpusFactor50) {
+  const std::vector<std::string> names = amplifyCorpus({.factor = 50, .seed = 42});
+  std::vector<std::unique_ptr<AnalyzedComponent>> components;
+  components.reserve(names.size());
+  std::string state;
+  for (const std::string& name : names) {
+    components.push_back(std::make_unique<AnalyzedComponent>(name, taint::AnalysisOptions{}));
+    components.back()->analyze({});
+    state += name + "\n" + analyzerState(components.back()->analyzer());
+  }
+  std::vector<extract::ComponentRun> runs;
+  runs.reserve(components.size());
+  for (const auto& component : components) runs.push_back(component->asRun());
+  const std::vector<model::Dependency> deps =
+      extract::extractDependencies(runs, amplifiedExtractOptions());
+  std::string counters;
+  for (const auto& component : components) counters += runCounters(component->analyzer());
+  EXPECT_EQ(hex(contentDigest(withoutGeneration(state))), hex(kAmplified50State));
+  EXPECT_EQ(hex(contentDigest(withoutGeneration(depsJson(deps)))), hex(kAmplified50Deps));
+  EXPECT_EQ(hex(contentDigest(counters)), hex(kAmplified50Counters));
 }
 
 }  // namespace

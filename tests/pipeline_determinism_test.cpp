@@ -155,6 +155,23 @@ TEST(PipelineDeterminism, SeedScenarioExtractionIsIdenticalAtEveryJobCount) {
   }
 }
 
+// The compiled programs live in a shared per-component cache that pool
+// workers hit concurrently; results must not depend on the worker count
+// or on which run compiled the streams (serial ≡ parallel, ×3).
+TEST(IrEquivalence, SerialEqualsParallelTimesThree) {
+  taint::AnalysisOptions inter;
+  inter.inter_procedural = true;
+  const Table5Result serial = runTable5(inter, nullptr, {.jobs = 1});
+  const std::string expected = formatTable5(serial);
+  const std::string expected_deps = json::writePretty(model::toJson(serial.unique_deps));
+  for (int round = 0; round < 3; ++round) {
+    const Table5Result parallel = runTable5(inter, nullptr, {.jobs = 4});
+    EXPECT_EQ(formatTable5(parallel), expected) << "round " << round;
+    EXPECT_EQ(json::writePretty(model::toJson(parallel.unique_deps)), expected_deps)
+        << "round " << round;
+  }
+}
+
 TEST(PipelineStatsApi, CountersAccumulateAndReset) {
   resetPipelineStats();
   (void)runTable5({}, nullptr, {.jobs = 2});

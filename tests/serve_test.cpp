@@ -148,6 +148,10 @@ TEST(ServeProtocol, FieldTheCommandDoesNotTakeIsRejected) {
       parseResponse(daemon.handleLine(R"({"type":"docck","scenario":"s1"})"));
   EXPECT_FALSE(response.find("ok")->asBool());
   EXPECT_NE(errorOf(response).find("'scenario'"), std::string::npos) << errorOf(response);
+  // The removed executor switch is a field no command takes any more.
+  response = parseResponse(daemon.handleLine(R"({"type":"extract","legacy_walk":true})"));
+  EXPECT_FALSE(response.find("ok")->asBool());
+  EXPECT_NE(errorOf(response).find("'legacy_walk'"), std::string::npos) << errorOf(response);
 }
 
 TEST(ServeProtocol, MemoKeyIsTheCanonicalTypedOptions) {
