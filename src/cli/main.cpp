@@ -66,7 +66,7 @@ std::string optionLine(const OptionSpec& option, std::size_t indent) {
   return line + "\n";
 }
 
-/// Usage rendered from the specs; exit status 2.
+/// Usage rendered from the specs (bare `fsdep`); exit status 2.
 int usage() {
   std::string text = "usage: fsdep <command> [options]\n\nglobal options (every command):\n";
   for (const OptionSpec& option : globalOptions()) text += optionLine(option, 2);
@@ -197,7 +197,11 @@ int main(int argc, char** argv) {
     }
   }
   const tools::Command* command = tools::findCommand(name);
-  if (command == nullptr) return usage();
+  if (command == nullptr) {
+    std::fprintf(stderr, "fsdep: unknown command '%s' (run fsdep alone for the list)\n",
+                 name.c_str());
+    return 2;
+  }
   if (command->name == "query") {
     // `query --type T` also takes the options of the command answering
     // T (default extract), its positionals spelled as flags (--param P).

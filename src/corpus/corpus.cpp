@@ -56,16 +56,4 @@ extract::ExtractOptions extractOptions() {
   return options;
 }
 
-extract::ExtractOptions xfsExtractOptions() {
-  extract::ExtractOptions options = extractOptions();
-  options.metadata_owner = "xfs";
-  return options;
-}
-
-extract::ExtractOptions btrfsExtractOptions() {
-  extract::ExtractOptions options = extractOptions();
-  options.metadata_owner = "btrfs";
-  return options;
-}
-
 }  // namespace fsdep::corpus

@@ -52,25 +52,21 @@ std::optional<std::string> headerSource(std::string_view name);
 /// Taint seeds (manual annotations) for a component.
 std::vector<taint::Seed> componentSeeds(std::string_view component);
 
-/// A usage scenario (row of Tables 3 and 5).
+/// A usage scenario (row of Tables 3 and 5, or a SS6 ecosystem).
 struct Scenario {
-  std::string id;     ///< "s1".."s4"
+  std::string id;     ///< "s1".."s4", "xfs", "btrfs"
   std::string title;  ///< e.g. "mke2fs - mount - Ext4"
   /// component -> pre-selected functions to analyze.
   std::map<std::string, std::vector<std::string>> selection;
+  /// The kernel component whose superblock bridges the others.
+  std::string metadata_owner = "ext4";
 };
 
 std::vector<Scenario> scenarios();
 
 /// Extraction options tuned for the corpus (parser types, error
-/// functions).
+/// functions), with the Ext4 superblock as the metadata owner.
 extract::ExtractOptions extractOptions();
-
-/// Same, with the XFS superblock as the metadata owner.
-extract::ExtractOptions xfsExtractOptions();
-
-/// Same, with the BtrFS superblock as the metadata owner.
-extract::ExtractOptions btrfsExtractOptions();
 
 /// The XFS usage scenario (mkfs.xfs - mount - XFS - xfs_growfs).
 Scenario xfsScenario();

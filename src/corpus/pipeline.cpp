@@ -191,8 +191,9 @@ std::vector<model::Dependency> runScenario(const Scenario& scenario,
   obs::Span span("pipeline", "scenario");
   span.arg("scenario", scenario.id);
   reg().gauge("pipeline.jobs").set(resolveJobs(pipeline));
-  const extract::ExtractOptions options =
+  extract::ExtractOptions options =
       extract_override != nullptr ? *extract_override : extractOptions();
+  options.metadata_owner = scenario.metadata_owner;
 
   // Warm path: an unchanged scenario loads its result straight from the
   // on-disk cache — no parse, sema, taint or extraction at all. A

@@ -144,7 +144,8 @@ std::vector<model::Dependency> extractComponents(
     std::size_t jobs = 0);
 
 /// Runs a single scenario (parse + analyze + extract), unscored.
-/// Component analyses run in parallel per `pipeline`.
+/// Component analyses run in parallel per `pipeline`. The metadata
+/// owner always comes from the scenario, also under an override.
 std::vector<model::Dependency> runScenario(const Scenario& scenario,
                                            const taint::AnalysisOptions& taint_options = {},
                                            const extract::ExtractOptions* extract_override = nullptr,

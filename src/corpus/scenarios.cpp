@@ -68,6 +68,7 @@ Scenario xfsScenario() {
       {"xfs", {"xfs_parse_options", "xfs_mount_validate_sb"}},
       {"xfs_growfs", {"xfs_growfs_main"}},
   };
+  s.metadata_owner = "xfs";
   return s;
 }
 
@@ -80,6 +81,7 @@ Scenario btrfsScenario() {
       {"btrfs", {"btrfs_parse_options", "btrfs_validate_super"}},
       {"btrfs_balance", {"btrfs_balance_main"}},
   };
+  s.metadata_owner = "btrfs";
   return s;
 }
 

@@ -13,10 +13,7 @@ using model::Dependency;
 class BtrfsFixture : public ::testing::Test {
  protected:
   static const std::vector<Dependency>& deps() {
-    static const std::vector<Dependency> kDeps = [] {
-      const extract::ExtractOptions options = btrfsExtractOptions();
-      return runScenario(btrfsScenario(), taint::AnalysisOptions{}, &options);
-    }();
+    static const std::vector<Dependency> kDeps = runScenario(btrfsScenario());
     return kDeps;
   }
 

@@ -276,9 +276,10 @@ TEST(CliObs, UnknownArgumentsFailLoudly) {
   // A misspelled flag used to be ignored (extract --scenaro s1 analyzed
   // every scenario, graph --selfdeps dropped the SD nodes, serve --sockt
   // bound the default socket), a malformed value ran anyway (bugck
-  // --runs abc ran zero configurations), and a global option missing its
-  // value ran the command. Each must exit 2 before printing anything,
-  // naming the argument. Every case runs under `timeout`, so a command
+  // --runs abc ran zero configurations), a global option missing its
+  // value ran the command, and an unknown command printed the usage to
+  // stdout. Each must exit 2 before printing anything, naming the
+  // argument or command. Every case runs under `timeout`, so a command
   // that starts running (a daemon) fails the test instead of hanging it.
   struct Case {
     const char* args;
@@ -292,14 +293,12 @@ TEST(CliObs, UnknownArgumentsFailLoudly) {
                         Case{"table5 --legacy-passes", "unknown argument '--legacy-passes'"},
                         Case{"amplify --factor 1 --legacy-passes",
                              "unknown argument '--legacy-passes'"},
-                        Case{"xfs --legacy-passes", "unknown argument '--legacy-passes'"},
                         Case{"check tool.c --legacy-passes", "unknown argument '--legacy-passes'"},
                         Case{"query --legacy-passes", "unknown argument '--legacy-passes'"},
                         Case{"extract --legacy-walk", "unknown argument '--legacy-walk'"},
                         Case{"table5 --legacy-walk", "unknown argument '--legacy-walk'"},
                         Case{"amplify --factor 1 --legacy-walk",
                              "unknown argument '--legacy-walk'"},
-                        Case{"xfs --legacy-walk", "unknown argument '--legacy-walk'"},
                         Case{"check tool.c --legacy-walk", "unknown argument '--legacy-walk'"},
                         Case{"query --legacy-walk", "unknown argument '--legacy-walk'"},
                         Case{"graph --selfdeps", "unknown argument '--selfdeps'"},
@@ -310,7 +309,10 @@ TEST(CliObs, UnknownArgumentsFailLoudly) {
                         Case{"explain mke2fs.sparse_super2 --bogus", "unknown argument '--bogus'"},
                         Case{"table2 --trace", "--trace requires a value"},
                         Case{"docck --jobs", "--jobs requires a value"},
-                        Case{"extract --trace", "--trace requires a value"}}) {
+                        Case{"extract --trace", "--trace requires a value"},
+                        Case{"xfs", "unknown command 'xfs'"},
+                        Case{"nosuchcmd", "unknown command 'nosuchcmd'"},
+                        Case{"profile nosuchcmd", "unknown command 'nosuchcmd'"}}) {
     const std::string command = "timeout 60 " + cliPath() + " " + c.args + " 2>" + err_path;
     FILE* pipe = popen(command.c_str(), "r");
     ASSERT_NE(pipe, nullptr) << command;

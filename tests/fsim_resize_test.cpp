@@ -93,6 +93,27 @@ TEST(Resize, Figure1FixedSparseSuper2GrowIsClean) {
   EXPECT_TRUE(fsck.value().isClean()) << fsck.value().summary();
 }
 
+TEST(Resize, Figure1SparseSuper2ShrinkIsCleanEvenWithBuggyFlag) {
+  // Figure 1's other dependency: the bug needs a target above the current
+  // size, so shrinking a used sparse_super2 filesystem stays clean.
+  BlockDevice dev = makeFs(true);
+  {
+    auto mounted = MountTool::mount(dev, MountOptions{});
+    ASSERT_TRUE(mounted.ok());
+    ASSERT_TRUE(mounted.value().createFile(8192, 2).ok());
+    mounted.value().unmount();
+  }
+  ResizeOptions ro;
+  ro.new_size_blocks = 1024;
+  ro.fix_sparse_super2_accounting = false;
+  const auto report = ResizeTool::resize(dev, ro);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  const auto fsck = FsckTool::check(dev, FsckOptions{.force = true});
+  ASSERT_TRUE(fsck.ok());
+  EXPECT_TRUE(fsck.value().isClean())
+      << "the bug requires growing the filesystem: " << fsck.value().summary();
+}
+
 TEST(Resize, NonSparseSuper2GrowIsCleanEvenWithBuggyFlag) {
   BlockDevice dev = makeFs(false);
   ResizeOptions ro;

@@ -94,8 +94,8 @@ TEST(IntraGolden, SeedComponentAnalyzerState) {
 TEST(IntraGolden, PerScenarioDependencies) {
   std::vector<std::pair<Scenario, extract::ExtractOptions>> runs;
   for (const Scenario& s : scenarios()) runs.emplace_back(s, extractOptions());
-  runs.emplace_back(xfsScenario(), xfsExtractOptions());
-  runs.emplace_back(btrfsScenario(), btrfsExtractOptions());
+  runs.emplace_back(xfsScenario(), extractOptions());
+  runs.emplace_back(btrfsScenario(), extractOptions());
   ASSERT_EQ(runs.size(), std::size(kScenarios));
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& [scenario, options] = runs[i];

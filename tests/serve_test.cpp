@@ -47,7 +47,10 @@ std::string errorOf(const json::Object& response) {
 
 /// What the one-shot CLI prints for `fsdep extract --scenario <id>`.
 std::string directExtractText(const std::string& scenario_id) {
-  for (const corpus::Scenario& s : corpus::scenarios()) {
+  std::vector<corpus::Scenario> known = corpus::scenarios();
+  known.push_back(corpus::xfsScenario());
+  known.push_back(corpus::btrfsScenario());
+  for (const corpus::Scenario& s : known) {
     if (s.id != scenario_id) continue;
     const std::vector<model::Dependency> deps = corpus::runScenario(s);
     std::string text;
@@ -122,6 +125,16 @@ TEST(ServeProtocol, ExtractMatchesDirectPipelineByteForByte) {
       parseResponse(daemon.handleLine(R"({"type":"extract","scenario":"s9"})"));
   EXPECT_FALSE(bad.find("ok")->asBool());
   EXPECT_NE(bad.find("error")->asString().find("unknown scenario"), std::string::npos);
+}
+
+TEST(ServeProtocol, ExtractAnswersTheXfsAndBtrfsScenarios) {
+  ServeDaemon daemon(ServeOptions{testSocketPath("ss6")});
+  for (const std::string id : {"xfs", "btrfs"}) {
+    json::Object response =
+        parseResponse(daemon.handleLine(R"({"type":"extract","scenario":")" + id + R"("})"));
+    ASSERT_TRUE(response.find("ok")->asBool()) << errorOf(response);
+    EXPECT_EQ(response.find("stdout")->asString(), directExtractText(id)) << id;
+  }
 }
 
 TEST(ServeProtocol, WrongTypedFieldIsRejectedAndDoesNotPoisonTheMemo) {

@@ -14,10 +14,7 @@ using model::Dependency;
 class XfsFixture : public ::testing::Test {
  protected:
   static const std::vector<Dependency>& deps() {
-    static const std::vector<Dependency> kDeps = [] {
-      const extract::ExtractOptions options = xfsExtractOptions();
-      return runScenario(xfsScenario(), taint::AnalysisOptions{}, &options);
-    }();
+    static const std::vector<Dependency> kDeps = runScenario(xfsScenario());
     return kDeps;
   }
 
