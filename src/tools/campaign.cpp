@@ -475,17 +475,27 @@ Result<CellOutcome> runCampaignCell(const GeneratedConfig& config, const std::st
                                     const FaultSchedule& schedule, std::uint64_t seed) {
   const CampaignOpSpec* spec = findCampaignSpec(op);
   if (spec == nullptr) return makeError("campaign: unknown operation '" + op + "'");
+  // The device's construction and release stay outside the stage spans,
+  // so a cell's self time is what the device itself costs.
   BlockDevice device(deviceBlocksFor(config), deviceBlockSizeFor(config));
-  const CrashCanary canary = spec->setup(device, config);
-  if (!schedule.empty()) device.setFaultPlan(compileFaultSchedule(schedule, seed));
-  try {
-    spec->run(device, config);
-  } catch (const IoError&) {
-    // Tools return structured errors; this is the crash-trigger backstop.
+  CrashCanary canary;
+  {
+    obs::Span stage("campaign", "cell-setup");
+    canary = spec->setup(device, config);
   }
-  device.clearFaults();  // the machine comes back up
+  {
+    obs::Span stage("campaign", "cell-op");
+    if (!schedule.empty()) device.setFaultPlan(compileFaultSchedule(schedule, seed));
+    try {
+      spec->run(device, config);
+    } catch (const IoError&) {
+      // Tools return structured errors; this is the crash-trigger backstop.
+    }
+  }
 
   CellOutcome out;
+  obs::Span stage("campaign", "cell-classify");
+  device.clearFaults();  // the machine comes back up
   out.outcome = classifyPostCrashImage(device, canary, out.detail);
   out.digest = imageStateDigest(device);
   return out;

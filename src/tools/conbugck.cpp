@@ -33,35 +33,47 @@ CampaignResult runCampaign(int runs, bool dependency_aware,
             : 1024;
     const std::uint32_t device_blocks =
         std::max<std::uint32_t>(8192, config.mkfs.size_blocks + 4096);
+    // One span per pipeline stage; the device's construction and release
+    // stay outside them (they are the campaign span's self time).
     BlockDevice device(device_blocks, device_bs);
 
-    const Result<Superblock> formatted = MkfsTool::format(device, config.mkfs);
-    if (!formatted.ok()) continue;
+    {
+      obs::Span stage("conbugck", "mkfs");
+      if (!MkfsTool::format(device, config.mkfs).ok()) continue;
+    }
     ++result.mkfs_ok;
 
-    Result<MountedFs> mounted = MountTool::mount(device, config.mount);
+    Result<MountedFs> mounted = [&] {
+      obs::Span stage("conbugck", "mount");
+      return MountTool::mount(device, config.mount);
+    }();
     if (!mounted.ok()) continue;
     ++result.mount_ok;
 
-    // Drive real work: a few files, some fragmented.
-    if (!config.mount.read_only) {
-      (void)mounted.value().createFile(4096, 0);
-      (void)mounted.value().createFile(8192, 1);
-      const Result<std::uint32_t> doomed = mounted.value().createFile(2048, 0);
-      if (doomed.ok()) (void)mounted.value().removeFile(doomed.value());
+    {
+      // Drive real work: a few files, some fragmented, then unmount.
+      obs::Span stage("conbugck", "files");
+      if (!config.mount.read_only) {
+        (void)mounted.value().createFile(4096, 0);
+        (void)mounted.value().createFile(8192, 1);
+        const Result<std::uint32_t> doomed = mounted.value().createFile(2048, 0);
+        if (doomed.ok()) (void)mounted.value().removeFile(doomed.value());
 
-      DefragOptions defrag_options;
-      (void)DefragTool::run(mounted.value(), device, defrag_options);
+        DefragOptions defrag_options;
+        (void)DefragTool::run(mounted.value(), device, defrag_options);
+      }
+      mounted.value().unmount();
     }
-    mounted.value().unmount();
 
     if (config.resize_target != 0) {
+      obs::Span stage("conbugck", "resize");
       ResizeOptions ro;
       ro.new_size_blocks = config.resize_target;
       ro.fix_sparse_super2_accounting = true;  // coverage, not bug hunting
       (void)ResizeTool::resize(device, ro);
     }
 
+    obs::Span stage("conbugck", "fsck");
     const Result<FsckReport> fsck = FsckTool::check(device, FsckOptions{.force = true});
     if (fsck.ok()) ++result.pipeline_complete;
   }
