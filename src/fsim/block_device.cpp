@@ -47,20 +47,65 @@ void noteFaultFired(const char* kind, std::uint64_t write_index) {
   }
 }
 
+/// The first and last block a byte range touches (an empty range
+/// touches the block at its offset).
+struct BlockRange {
+  std::uint32_t first;
+  std::uint32_t last;
+  BlockRange(std::uint64_t offset, std::size_t size, std::uint32_t block_size)
+      : first(static_cast<std::uint32_t>(offset / block_size)),
+        last(static_cast<std::uint32_t>((offset + std::max<std::size_t>(size, 1) - 1) /
+                                        block_size)) {}
+  [[nodiscard]] bool contains(std::uint32_t block) const {
+    return first <= block && block <= last;
+  }
+  /// The lowest block of `blocks` inside the range, if any.
+  [[nodiscard]] std::optional<std::uint32_t> firstOf(const std::set<std::uint32_t>& blocks) const {
+    const auto it = blocks.lower_bound(first);
+    if (it == blocks.end() || *it > last) return std::nullopt;
+    return *it;
+  }
+};
+
 }  // namespace
 
 BlockDevice::BlockDevice(std::uint32_t block_count, std::uint32_t block_size)
-    : block_count_(block_count), block_size_(block_size) {
+    : block_count_(block_count), block_size_(block_size), blocks_(block_count) {
   if (block_size == 0 || (block_size & (block_size - 1)) != 0) {
     throw IoError("block size must be a nonzero power of two");
   }
-  data_.assign(static_cast<std::size_t>(block_count) * block_size, 0);
 }
 
 void BlockDevice::checkRange(std::uint32_t block) const {
   if (block >= block_count_) {
     throw IoError("block " + std::to_string(block) + " out of range (device has " +
                   std::to_string(block_count_) + " blocks)");
+  }
+}
+
+void BlockDevice::copyOut(std::uint64_t offset, std::span<std::uint8_t> out) const {
+  for (std::size_t done = 0; done < out.size();) {
+    const std::uint64_t at = offset + done;
+    const std::size_t within = static_cast<std::size_t>(at % block_size_);
+    const std::size_t n = std::min<std::size_t>(block_size_ - within, out.size() - done);
+    if (const std::uint8_t* stored = blocks_[at / block_size_].get()) {
+      std::memcpy(out.data() + done, stored + within, n);
+    } else {
+      std::memset(out.data() + done, 0, n);
+    }
+    done += n;
+  }
+}
+
+void BlockDevice::copyIn(std::uint64_t offset, std::span<const std::uint8_t> data) {
+  for (std::size_t done = 0; done < data.size();) {
+    const std::uint64_t at = offset + done;
+    const std::size_t within = static_cast<std::size_t>(at % block_size_);
+    const std::size_t n = std::min<std::size_t>(block_size_ - within, data.size() - done);
+    std::unique_ptr<std::uint8_t[]>& stored = blocks_[at / block_size_];
+    if (!stored) stored = std::make_unique<std::uint8_t[]>(block_size_);  // zeroed
+    std::memcpy(stored.get() + within, data.data() + done, n);
+    done += n;
   }
 }
 
@@ -78,10 +123,10 @@ std::size_t BlockDevice::tornPrefixLength(std::size_t write_size) const {
   return 0;
 }
 
-void BlockDevice::attemptWrite(std::uint64_t offset, std::span<const std::uint8_t> data,
-                               std::uint32_t block) {
+void BlockDevice::attemptWrite(std::uint64_t offset, std::span<const std::uint8_t> data) {
   if (frozen_) throw IoError("device frozen by injected crash");
   if (dead_) throw IoError("device failed (fail-after fault)");
+  const BlockRange range(offset, data.size(), block_size_);
   if (plan_) {
     if (plan_->fail_after_writes && plan_write_index_ >= *plan_->fail_after_writes) {
       dead_ = true;
@@ -92,7 +137,7 @@ void BlockDevice::attemptWrite(std::uint64_t offset, std::span<const std::uint8_
     if (plan_->crash_at_write && plan_write_index_ == *plan_->crash_at_write) {
       // Persist only a torn prefix of this write, then lose power.
       const std::size_t keep = tornPrefixLength(data.size());
-      if (keep > 0) std::memcpy(data_.data() + offset, data.data(), keep);
+      copyIn(offset, data.first(keep));
       frozen_ = true;
       noteFaultFired("crash", plan_write_index_);
       throw IoError("crash injected at write index " +
@@ -100,121 +145,112 @@ void BlockDevice::attemptWrite(std::uint64_t offset, std::span<const std::uint8_
                     " of " + std::to_string(data.size()) + " bytes persisted)");
     }
     for (TransientFault& t : plan_->transients) {
-      if (t.on_write && t.failures > 0 && t.block == block) {
+      if (t.on_write && t.failures > 0 && range.contains(t.block)) {
         --t.failures;
         noteFaultFired("transient_write", plan_write_index_);
-        throw IoError("transient write error at block " + std::to_string(block));
+        throw IoError("transient write error at block " + std::to_string(t.block));
       }
     }
   }
-  if (bad_write_blocks_.contains(block)) {
-    throw IoError("injected write error at block " + std::to_string(block));
+  if (const std::optional<std::uint32_t> bad = range.firstOf(bad_write_blocks_)) {
+    throw IoError("injected write error at block " + std::to_string(*bad));
   }
-  std::memcpy(data_.data() + offset, data.data(), data.size());
+  copyIn(offset, data);
   ++writes_;
   ++plan_write_index_;
   writesCounter().add();
 }
 
-void BlockDevice::attemptRead(std::uint64_t offset, std::span<std::uint8_t> out,
-                              std::uint32_t block) const {
+void BlockDevice::attemptRead(std::uint64_t offset, std::span<std::uint8_t> out) const {
   if (frozen_) throw IoError("device frozen by injected crash");
+  const BlockRange range(offset, out.size(), block_size_);
   if (plan_) {
     for (TransientFault& t : plan_->transients) {
-      if (!t.on_write && t.failures > 0 && t.block == block) {
+      if (!t.on_write && t.failures > 0 && range.contains(t.block)) {
         --t.failures;
         noteFaultFired("transient_read", plan_write_index_);
-        throw IoError("transient read error at block " + std::to_string(block));
+        throw IoError("transient read error at block " + std::to_string(t.block));
       }
     }
   }
-  if (bad_read_blocks_.contains(block)) {
-    throw IoError("injected read error at block " + std::to_string(block));
+  if (const std::optional<std::uint32_t> bad = range.firstOf(bad_read_blocks_)) {
+    throw IoError("injected read error at block " + std::to_string(*bad));
   }
-  std::memcpy(out.data(), data_.data() + offset, out.size());
+  copyOut(offset, out);
   ++reads_;
   readsCounter().add();
+}
+
+void BlockDevice::noteRetry(std::uint32_t attempt) const {
+  ++retries_;
+  retriesCounter().add();
+  backoff_ticks_ += static_cast<std::uint64_t>(retry_policy_.backoff_base) << (attempt - 1);
+}
+
+void BlockDevice::readRetrying(std::uint64_t offset, std::span<std::uint8_t> out) const {
+  for (std::uint32_t attempt = 1;; ++attempt) {
+    try {
+      attemptRead(offset, out);
+      return;
+    } catch (const IoError&) {
+      if (frozen_ || attempt >= retry_policy_.max_attempts) throw;
+      noteRetry(attempt);
+    }
+  }
+}
+
+void BlockDevice::writeRetrying(std::uint64_t offset, std::span<const std::uint8_t> data) {
+  for (std::uint32_t attempt = 1;; ++attempt) {
+    try {
+      attemptWrite(offset, data);
+      return;
+    } catch (const IoError&) {
+      if (frozen_ || dead_ || attempt >= retry_policy_.max_attempts) throw;
+      noteRetry(attempt);
+    }
+  }
 }
 
 void BlockDevice::readBlock(std::uint32_t block, std::span<std::uint8_t> out) const {
   checkRange(block);
   if (out.size() != block_size_) throw IoError("short read buffer");
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    try {
-      attemptRead(static_cast<std::uint64_t>(block) * block_size_, out, block);
-      return;
-    } catch (const IoError&) {
-      if (frozen_ || attempt >= retry_policy_.max_attempts) throw;
-      ++retries_;
-      retriesCounter().add();
-      backoff_ticks_ += static_cast<std::uint64_t>(retry_policy_.backoff_base)
-                        << (attempt - 1);
-    }
-  }
+  readRetrying(static_cast<std::uint64_t>(block) * block_size_, out);
 }
 
 void BlockDevice::writeBlock(std::uint32_t block, std::span<const std::uint8_t> data) {
   checkRange(block);
   if (data.size() != block_size_) throw IoError("short write buffer");
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    try {
-      attemptWrite(static_cast<std::uint64_t>(block) * block_size_, data, block);
-      return;
-    } catch (const IoError&) {
-      if (frozen_ || dead_ || attempt >= retry_policy_.max_attempts) throw;
-      ++retries_;
-      retriesCounter().add();
-      backoff_ticks_ += static_cast<std::uint64_t>(retry_policy_.backoff_base)
-                        << (attempt - 1);
-    }
-  }
+  writeRetrying(static_cast<std::uint64_t>(block) * block_size_, data);
 }
 
 void BlockDevice::readBytes(std::uint64_t offset, std::span<std::uint8_t> out) const {
-  if (offset + out.size() > data_.size()) throw IoError("byte read out of range");
-  const std::uint32_t block = static_cast<std::uint32_t>(offset / block_size_);
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    try {
-      attemptRead(offset, out, block);
-      return;
-    } catch (const IoError&) {
-      if (frozen_ || attempt >= retry_policy_.max_attempts) throw;
-      ++retries_;
-      retriesCounter().add();
-      backoff_ticks_ += static_cast<std::uint64_t>(retry_policy_.backoff_base)
-                        << (attempt - 1);
-    }
+  if (offset > sizeBytes() || out.size() > sizeBytes() - offset) {
+    throw IoError("byte read out of range");
   }
+  readRetrying(offset, out);
 }
 
 void BlockDevice::writeBytes(std::uint64_t offset, std::span<const std::uint8_t> data) {
-  if (offset + data.size() > data_.size()) throw IoError("byte write out of range");
-  const std::uint32_t block = static_cast<std::uint32_t>(offset / block_size_);
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    try {
-      attemptWrite(offset, data, block);
-      return;
-    } catch (const IoError&) {
-      if (frozen_ || dead_ || attempt >= retry_policy_.max_attempts) throw;
-      ++retries_;
-      retriesCounter().add();
-      backoff_ticks_ += static_cast<std::uint64_t>(retry_policy_.backoff_base)
-                        << (attempt - 1);
-    }
+  if (offset > sizeBytes() || data.size() > sizeBytes() - offset) {
+    throw IoError("byte write out of range");
   }
+  writeRetrying(offset, data);
 }
 
 void BlockDevice::resize(std::uint32_t new_block_count) {
   if (frozen_) throw IoError("device frozen by injected crash");
-  data_.resize(static_cast<std::size_t>(new_block_count) * block_size_, 0);
+  blocks_.resize(new_block_count);  // a shrink frees the cut-off blocks
   block_count_ = new_block_count;
 }
 
 void BlockDevice::corruptBlock(std::uint32_t block, std::uint32_t byte_offset) {
   checkRange(block);
-  const std::size_t index =
-      static_cast<std::size_t>(block) * block_size_ + (byte_offset % block_size_);
-  data_[index] ^= 0xFF;
+  const std::uint64_t offset =
+      static_cast<std::uint64_t>(block) * block_size_ + byte_offset % block_size_;
+  std::uint8_t byte = 0;
+  copyOut(offset, {&byte, 1});
+  byte ^= 0xFF;
+  copyIn(offset, {&byte, 1});
 }
 
 void BlockDevice::setFaultPlan(FaultPlan plan) {

@@ -3,6 +3,13 @@
 // failures and crash points can be injected under any of them
 // (ConHandleCk and the CrashCk campaign use this).
 //
+// Storage is sparse: a block holds memory only once something has been
+// written to it, and a never-written block reads as zeros. A device
+// therefore costs what its utilities write (mkfs, a mount and a file
+// touch a few hundred blocks), not the capacity it addresses. Sparsity
+// is invisible to callers: every read, write, fault and counter below
+// behaves as on a zero-filled medium.
+//
 // Fault model
 //   - Legacy per-block faults (injectReadError / injectWriteError) are
 //     sticky: the block fails forever until clearFaults().
@@ -27,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -89,10 +97,14 @@ class BlockDevice {
   void writeBlock(std::uint32_t block, std::span<const std::uint8_t> data);
 
   /// Byte-granular access (the superblock lives at byte offset 1024).
+  /// A range may cross block boundaries: the fault checks run for every
+  /// block it touches before any byte moves, and it counts as one read
+  /// or write.
   void readBytes(std::uint64_t offset, std::span<std::uint8_t> out) const;
   void writeBytes(std::uint64_t offset, std::span<const std::uint8_t> data);
 
-  /// Grows (or shrinks) the device; new blocks are zeroed.
+  /// Grows (or shrinks) the device; new blocks are zeroed (a block cut
+  /// off by a shrink reads as zeros when a later grow brings it back).
   void resize(std::uint32_t new_block_count);
 
   // --- Fault injection ---------------------------------------------
@@ -132,17 +144,28 @@ class BlockDevice {
 
  private:
   void checkRange(std::uint32_t block) const;
-  /// One write attempt with all fault checks; throws on any fault.
-  void attemptWrite(std::uint64_t offset, std::span<const std::uint8_t> data,
-                    std::uint32_t block);
-  void attemptRead(std::uint64_t offset, std::span<std::uint8_t> out,
-                   std::uint32_t block) const;
+  /// The access under the retry policy; throws once it gives up.
+  void readRetrying(std::uint64_t offset, std::span<std::uint8_t> out) const;
+  void writeRetrying(std::uint64_t offset, std::span<const std::uint8_t> data);
+  void noteRetry(std::uint32_t attempt) const;
+  /// One attempt with the fault checks of every block in the range;
+  /// throws on any fault before a byte moves (a crash's torn prefix
+  /// aside).
+  void attemptWrite(std::uint64_t offset, std::span<const std::uint8_t> data);
+  void attemptRead(std::uint64_t offset, std::span<std::uint8_t> out) const;
   /// Bytes of the crashing write that persist under the torn mode.
   [[nodiscard]] std::size_t tornPrefixLength(std::size_t write_size) const;
 
+  /// The storage: copy a byte range out of / into the blocks it spans,
+  /// split at block boundaries. copyOut reads a never-written block as
+  /// zeros; copyIn gives a block its buffer on the first write.
+  void copyOut(std::uint64_t offset, std::span<std::uint8_t> out) const;
+  void copyIn(std::uint64_t offset, std::span<const std::uint8_t> data);
+
   std::uint32_t block_count_;
   std::uint32_t block_size_;
-  std::vector<std::uint8_t> data_;
+  /// One buffer per block; null until the block's first write.
+  std::vector<std::unique_ptr<std::uint8_t[]>> blocks_;
   std::set<std::uint32_t> bad_read_blocks_;
   std::set<std::uint32_t> bad_write_blocks_;
   mutable std::optional<FaultPlan> plan_;  // transients decay in place

@@ -211,6 +211,112 @@ TEST(BlockDevice, ResetStatsKeepsFaults) {
   EXPECT_THROW(dev.writeBlock(4, buf), IoError);
 }
 
+// --- Sparse storage: a never-written block must behave as zeros -------
+
+TEST(BlockDevice, NeverWrittenBlockReadsAsZeros) {
+  BlockDevice dev(8, 1024);
+  std::vector<std::uint8_t> in(1024, 0xAB);
+  dev.readBlock(5, in);
+  EXPECT_EQ(in, std::vector<std::uint8_t>(1024, 0));
+  EXPECT_EQ(dev.readCount(), 1u);
+}
+
+TEST(BlockDevice, ByteRangeAcrossBlockBoundaryRoundTrips) {
+  BlockDevice dev(4, 512);
+  std::vector<std::uint8_t> out(700);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  dev.writeBytes(300, out);  // blocks 0, 1 and 2
+  std::vector<std::uint8_t> in(out.size());
+  dev.readBytes(300, in);
+  EXPECT_EQ(in, out);
+  EXPECT_EQ(dev.writeCount(), 1u);
+  EXPECT_EQ(dev.readCount(), 1u);
+}
+
+TEST(BlockDevice, ReadSpansWrittenAndNeverWrittenBlocks) {
+  BlockDevice dev(4, 512);
+  dev.writeBlock(1, std::vector<std::uint8_t>(512, 0x5A));
+  std::vector<std::uint8_t> in(512, 0xEE);
+  dev.readBytes(768, in);  // the second half of block 1, the first of block 2
+  for (std::size_t i = 0; i < 256; ++i) ASSERT_EQ(in[i], 0x5A) << i;
+  for (std::size_t i = 256; i < 512; ++i) ASSERT_EQ(in[i], 0x00) << i;
+}
+
+TEST(BlockDevice, ShrinkThenGrowReadsZeros) {
+  BlockDevice dev(8, 1024);
+  dev.writeBlock(7, std::vector<std::uint8_t>(1024, 0x77));
+  dev.resize(4);
+  std::vector<std::uint8_t> in(1024, 0xAB);
+  EXPECT_THROW(dev.readBlock(7, in), IoError);
+  dev.resize(8);
+  dev.readBlock(7, in);
+  EXPECT_EQ(in, std::vector<std::uint8_t>(1024, 0));
+}
+
+TEST(BlockDevice, CorruptingANeverWrittenBlockFlipsAZero) {
+  BlockDevice dev(4, 1024);
+  dev.corruptBlock(3, 1024 + 5);  // the offset wraps within the block
+  std::vector<std::uint8_t> in(1024);
+  dev.readBlock(3, in);
+  EXPECT_EQ(in[5], 0xFF);
+  EXPECT_EQ(in[4], 0x00);
+  EXPECT_EQ(in[6], 0x00);
+}
+
+TEST(BlockDevice, TornByteRangeAcrossBoundaryPersistsPrefixOnly) {
+  BlockDevice dev(4, 512);
+  FaultPlan plan;
+  plan.crash_at_write = 0;
+  plan.torn_mode = TornMode::Prefix;
+  plan.torn_prefix_bytes = 300;
+  dev.setFaultPlan(plan);
+  EXPECT_THROW(dev.writeBytes(400, std::vector<std::uint8_t>(600, 0xFF)), IoError);
+  dev.clearFaults();
+  std::vector<std::uint8_t> in(2048);
+  dev.readBytes(0, in);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ASSERT_EQ(in[i], i >= 400 && i < 700 ? 0xFF : 0x00) << i;
+  }
+}
+
+TEST(BlockDevice, ByteRangeChecksFaultsOnEveryBlock) {
+  std::vector<std::uint8_t> buf(1024, 0x11);
+  {
+    BlockDevice dev(8, 512);
+    dev.injectReadError(3);
+    EXPECT_THROW(dev.readBytes(1024, buf), IoError);  // blocks 2 and 3
+    EXPECT_EQ(dev.readCount(), 0u);
+  }
+  {
+    BlockDevice dev(8, 512);
+    dev.injectWriteError(3);
+    EXPECT_THROW(dev.writeBytes(1024, buf), IoError);
+    EXPECT_EQ(dev.writeCount(), 0u);
+    std::vector<std::uint8_t> in(512, 0xAB);
+    dev.readBlock(2, in);  // no byte moved, not even into the healthy block
+    EXPECT_EQ(in, std::vector<std::uint8_t>(512, 0));
+  }
+  {
+    BlockDevice dev(8, 512);
+    FaultPlan plan;
+    plan.transients.push_back(TransientFault{.block = 3, .failures = 1, .on_write = false});
+    dev.setFaultPlan(plan);
+    EXPECT_NO_THROW(dev.readBytes(1024, buf));
+    EXPECT_EQ(dev.retryCount(), 1u);
+    EXPECT_EQ(dev.readCount(), 1u);
+  }
+  {
+    BlockDevice dev(8, 512);
+    FaultPlan plan;
+    plan.transients.push_back(TransientFault{.block = 3, .failures = 1, .on_write = true});
+    dev.setFaultPlan(plan);
+    EXPECT_NO_THROW(dev.writeBytes(1024, buf));
+    EXPECT_EQ(dev.retryCount(), 1u);
+    EXPECT_EQ(dev.writeCount(), 1u);
+    EXPECT_EQ(dev.planWriteIndex(), 1u);  // one range, one write index
+  }
+}
+
 TEST(Bitmap, SetGetCount) {
   Bitmap bm(100);
   EXPECT_FALSE(bm.get(5));
