@@ -2,6 +2,9 @@
 // campaign at --jobs 1 and at full parallelism and reports throughput
 // (cells/sec), the dedup ratio (how much work the canonical state hash
 // collapses into equivalence classes), and the minimizer's probe cost.
+// One campaign takes tens of milliseconds, too short to time once, so
+// each side repeats it until kMinSeconds have elapsed and reports
+// cells/sec over all repetitions (`seconds` is the mean per campaign).
 // With an output path argument it also emits BENCH_campaign.json for
 // scripts/bench_compare.sh.
 #include <chrono>
@@ -17,10 +20,13 @@ using namespace fsdep::tools;
 
 namespace {
 
+constexpr double kMinSeconds = 1.0;
+
 struct RunStats {
   std::size_t jobs = 0;
   std::size_t cells = 0;
-  double seconds = 0.0;
+  std::size_t repetitions = 0;
+  double seconds = 0.0;  ///< mean wall time of one campaign
   double cells_per_sec = 0.0;
   double dedup_ratio = 0.0;  ///< duplicate cells / Done cells
   std::uint64_t unique_outcomes = 0;
@@ -38,20 +44,27 @@ CampaignOptions benchOptions(std::size_t jobs) {
   return options;
 }
 
-bool runOnce(std::size_t jobs, RunStats& stats) {
-  const auto start = std::chrono::steady_clock::now();
-  const Result<CampaignReport> result = runMatrixCampaign(benchOptions(jobs), {});
-  const auto end = std::chrono::steady_clock::now();
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.error().message.c_str());
-    return false;
+bool runRepeated(std::size_t jobs, RunStats& stats) {
+  std::size_t repetitions = 0;
+  double elapsed = 0.0;
+  CampaignReport report;
+  while (elapsed < kMinSeconds) {
+    const auto start = std::chrono::steady_clock::now();
+    Result<CampaignReport> result = runMatrixCampaign(benchOptions(jobs), {});
+    elapsed += std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    if (!result.ok()) {
+      std::fprintf(stderr, "%s\n", result.error().message.c_str());
+      return false;
+    }
+    report = std::move(result).take();
+    ++repetitions;
   }
-  const CampaignReport& report = result.value();
   const std::size_t done = report.cells.size() - report.totalFailed();
   stats.jobs = jobs;
   stats.cells = report.cells.size();
-  stats.seconds = std::chrono::duration<double>(end - start).count();
-  stats.cells_per_sec = stats.seconds > 0 ? report.cells.size() / stats.seconds : 0.0;
+  stats.repetitions = repetitions;
+  stats.seconds = elapsed / static_cast<double>(repetitions);
+  stats.cells_per_sec = static_cast<double>(report.cells.size() * repetitions) / elapsed;
   stats.dedup_ratio = done > 0 ? static_cast<double>(report.dedup_hits) / done : 0.0;
   stats.unique_outcomes = report.unique_outcomes;
   stats.minimizer_probes = report.minimizer_probes;
@@ -62,6 +75,7 @@ json::Object statsToJson(const RunStats& stats) {
   json::Object o;
   o["jobs"] = json::Value(static_cast<std::uint64_t>(stats.jobs));
   o["cells"] = json::Value(static_cast<std::uint64_t>(stats.cells));
+  o["repetitions"] = json::Value(static_cast<std::uint64_t>(stats.repetitions));
   o["seconds"] = json::Value(stats.seconds);
   o["cells_per_sec"] = json::Value(stats.cells_per_sec);
   o["dedup_ratio"] = json::Value(stats.dedup_ratio);
@@ -81,13 +95,13 @@ int main(int argc, char** argv) {
 
   RunStats serial;
   RunStats parallel;
-  if (!runOnce(1, serial) || !runOnce(wide, parallel)) return 1;
+  if (!runRepeated(1, serial) || !runRepeated(wide, parallel)) return 1;
 
-  std::printf("%-8s %6s %8s %11s %11s %7s %7s\n", "mode", "cells", "sec", "cells/sec",
-              "dedup", "unique", "probes");
+  std::printf("%-8s %6s %5s %8s %11s %11s %7s %7s\n", "mode", "cells", "reps", "sec",
+              "cells/sec", "dedup", "unique", "probes");
   for (const RunStats* s : {&serial, &parallel}) {
-    std::printf("jobs=%-3zu %6zu %8.3f %11.1f %10.1f%% %7llu %7llu\n", s->jobs, s->cells,
-                s->seconds, s->cells_per_sec, s->dedup_ratio * 100.0,
+    std::printf("jobs=%-3zu %6zu %5zu %8.4f %11.1f %10.1f%% %7llu %7llu\n", s->jobs, s->cells,
+                s->repetitions, s->seconds, s->cells_per_sec, s->dedup_ratio * 100.0,
                 static_cast<unsigned long long>(s->unique_outcomes),
                 static_cast<unsigned long long>(s->minimizer_probes));
   }
