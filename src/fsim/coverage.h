@@ -4,25 +4,26 @@
 // tool to drive deeply into the target code area").
 #pragma once
 
+#include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
 
 namespace fsdep::fsim {
 
+/// Process-wide and thread-safe: campaign workers run the fsim tools
+/// concurrently, and every tool reports its points here.
 class CoverageRegistry {
  public:
   static CoverageRegistry& instance();
 
   void hit(std::string_view point);
   void reset();
-  [[nodiscard]] std::size_t distinctPoints() const { return points_.size(); }
-  [[nodiscard]] const std::set<std::string>& points() const { return points_; }
-  [[nodiscard]] bool wasHit(std::string_view point) const {
-    return points_.contains(std::string(point));
-  }
+  /// A copy of the distinct points hit since the last reset().
+  [[nodiscard]] std::set<std::string> points() const;
 
  private:
+  mutable std::mutex mutex_;
   std::set<std::string> points_;
 };
 

@@ -5,10 +5,13 @@
 
 #include "tools/campaign.h"
 
+#include "fsim/coverage.h"
+
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 namespace fsdep::tools {
 namespace {
@@ -329,6 +332,24 @@ TEST(CampaignTest, ReplayDetectsTamperedOutcome) {
   ASSERT_TRUE(replay.ok()) << replay.error().message;
   EXPECT_FALSE(replay.value().allMatch());
   std::filesystem::remove_all(dir);
+}
+
+// Campaign workers run the fsim tools concurrently, and every tool
+// reports its coverage points to the one process-wide registry.
+TEST(CampaignTest, ConcurrentCoverageHitsAreAllRecorded) {
+  fsim::CoverageRegistry& registry = fsim::CoverageRegistry::instance();
+  registry.reset();
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([t] {
+      for (int i = 0; i < 2000; ++i) {
+        fsim::coverPoint("test.point." + std::to_string((i * 4 + t) % 3000));
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(registry.points().size(), 3000u);
+  registry.reset();
 }
 
 TEST(CampaignTest, UnknownOpIsRejected) {
