@@ -1,11 +1,11 @@
 // Campaign engine: explores the crash-point × fault-schedule ×
-// configuration matrix at scale. CrashCk (PR 1) enumerates crash points
-// for ONE fixed configuration per tool; the campaign engine runs the
-// same experiment over a dependency-aware sample of the configuration
-// space (tools/confgen: each-used-value + pairwise over the mkfs/tune
-// knobs, repaired against the extracted dependency set), and adds
-// multi-fault schedules — crash plus transient media errors plus
-// device-death — to every sampled configuration.
+// configuration matrix at scale. CrashCk hands the cell below every
+// crash point of ONE pinned configuration per op; the campaign engine
+// hands it a dependency-aware sample of the configuration space
+// (tools/confgen: each-used-value + pairwise over the mkfs/tune knobs,
+// repaired against the extracted dependency set) and adds multi-fault
+// schedules — crash plus transient media errors plus device-death — to
+// every sampled configuration.
 //
 // Robustness is the engine's own core:
 //   * outcomes are deduplicated by a canonical post-recovery FS-state
@@ -79,9 +79,14 @@ Result<GeneratedConfig> generatedConfigFromJson(const json::Value& value);
 
 // --- Cells -------------------------------------------------------------
 
-/// The operations a campaign can torture; same list as CrashCk, but
-/// every op is parameterized by the sampled configuration.
+/// The operations CrashCk and the campaign torture, each parameterized
+/// by a configuration.
 std::vector<std::string> campaignOpNames();
+
+/// Persisted writes of the op's fault-free run under `config`. A fault
+/// plan's write index counts exactly these, so the op's crash points
+/// are 0 .. count-1. Errors (unknown op) are structured.
+Result<std::uint64_t> opWriteCount(const GeneratedConfig& config, const std::string& op);
 
 struct CampaignCell {
   std::size_t config_index = 0;

@@ -1,17 +1,14 @@
 #include "tools/conhandleck.h"
 
-#include <functional>
 #include <optional>
 
 #include "corpus/pipeline.h"
 #include "obs/log.h"
 #include "obs/trace.h"
-#include "tools/crashck.h"
 #include "fsim/fsck.h"
 #include "fsim/mkfs.h"
 #include "fsim/mount.h"
 #include "fsim/resize.h"
-#include "fsim/tune.h"
 
 namespace fsdep::tools {
 
@@ -412,155 +409,6 @@ HandleCheckReport runHandleCheck(const std::vector<Dependency>& deps) {
 HandleCheckReport runCorpusHandleCheck() {
   const corpus::Table5Result result = corpus::runTable5();
   return runHandleCheck(result.unique_deps);
-}
-
-namespace {
-
-HandleCase tuneProbe(const std::string& id, const std::string& description,
-                     const MkfsOptions& mkfs_options, const TuneOptions& tune_options) {
-  HandleCase hc;
-  hc.dependency_id = id;
-  hc.description = description;
-  std::optional<BlockDevice> device = makeImage(mkfs_options);
-  if (!device) {
-    hc.outcome = HandleOutcome::NotApplicable;
-    hc.detail = "baseline image could not be created";
-    return hc;
-  }
-  const Result<TuneReport> tuned = TuneTool::tune(*device, tune_options);
-  if (!tuned.ok()) {
-    hc.outcome = HandleOutcome::RejectedGracefully;
-    hc.detail = tuned.error().message;
-    return hc;
-  }
-  // Accepted: the image must still mount and pass fsck.
-  const Result<FsckReport> fsck = FsckTool::check(*device, FsckOptions{.force = true});
-  if (fsck.ok() && fsck.value().corruptionCount() > 0) {
-    hc.outcome = HandleOutcome::Corruption;
-    hc.detail = fsck.value().summary();
-    return hc;
-  }
-  Result<MountedFs> mounted = MountTool::mount(*device, MountOptions{});
-  if (!mounted.ok()) {
-    hc.outcome = HandleOutcome::Corruption;
-    hc.detail = "tuned image no longer mounts: " + mounted.error().message;
-    return hc;
-  }
-  mounted.value().unmount();
-  hc.outcome = HandleOutcome::BehavedConsistently;
-  hc.detail = "change applied; filesystem consistent and mountable";
-  return hc;
-}
-
-}  // namespace
-
-HandleCheckReport runHandleCheckUnderFaults(std::uint64_t seed) {
-  obs::Span span("conhandleck", "handle-check-faults");
-  struct FaultCase {
-    const char* id;
-    const char* op;
-    const char* description;
-  };
-  // Each case names the dependency scenario whose write sequence the
-  // fault schedules enumerate. "resize-buggy" replays the Figure 1
-  // behaviour; "resize" the fixed accounting.
-  static constexpr FaultCase kCases[] = {
-      {"fault-mkfs", "mkfs", "crash mkfs at every write index"},
-      {"fault-mount-commit", "mount", "crash a mount/write/umount journal cycle"},
-      {"fault-resize-sparse2-buggy", "resize-buggy",
-       "crash the Figure 1 sparse_super2 grow (shipped accounting)"},
-      {"fault-resize-sparse2-fixed", "resize",
-       "crash the sparse_super2 grow with fixed accounting"},
-      {"fault-defrag", "defrag", "crash e4defrag mid-rewrite"},
-      {"fault-tune", "tune", "crash tune2fs mid-change"},
-  };
-
-  HandleCheckReport report;
-  for (const FaultCase& fc : kCases) {
-    HandleCase hc;
-    hc.dependency_id = fc.id;
-    hc.description = fc.description;
-    const Result<CrashOpReport> run = runCrashOp(fc.op, seed);
-    if (!run.ok()) {
-      hc.outcome = HandleOutcome::NotApplicable;
-      hc.detail = run.error().message;
-      report.cases.push_back(std::move(hc));
-      continue;
-    }
-    const CrashOpReport& r = run.value();
-    const int silent = r.countOf(CrashOutcome::SilentCorruption);
-    const int lost = r.countOf(CrashOutcome::DataLoss);
-    hc.detail = std::to_string(r.points.size()) + " crash point(s): " + r.histogram();
-    if (silent > 0 || lost > 0) {
-      // A crash that yields a clean-looking-but-wrong image (or eats
-      // committed data) is the dangerous class the campaign hunts.
-      hc.outcome = HandleOutcome::Corruption;
-    } else {
-      hc.outcome = HandleOutcome::BehavedConsistently;
-    }
-    FSDEP_LOG_DEBUG("conhandleck", "%s: %s -> %s", fc.id, hc.detail.c_str(),
-                    handleOutcomeName(hc.outcome));
-    report.cases.push_back(std::move(hc));
-  }
-  FSDEP_LOG_INFO("conhandleck", "fault campaign: %s", report.summary().c_str());
-  return report;
-}
-
-HandleCheckReport runTuneProbes() {
-  HandleCheckReport report;
-
-  {
-    MkfsOptions base = baseMkfs();
-    base.quota = true;
-    TuneOptions t;
-    t.has_journal = false;
-    report.cases.push_back(tuneProbe("tune-quota-journal",
-                                     "drop the journal of a quota filesystem (violates "
-                                     "mke2fs.quota requires mke2fs.has_journal)",
-                                     base, t));
-  }
-  {
-    TuneOptions t;
-    t.has_journal = false;
-    report.cases.push_back(tuneProbe("tune-drop-journal",
-                                     "drop the journal of a plain filesystem (no dependency "
-                                     "violated)",
-                                     baseMkfs(), t));
-  }
-  {
-    TuneOptions t;
-    t.sparse_super2 = true;
-    report.cases.push_back(tuneProbe("tune-sparse2-resize-inode",
-                                     "enable sparse_super2 while resize_inode exists "
-                                     "(violates the exclusion)",
-                                     baseMkfs(), t));
-  }
-  {
-    MkfsOptions base = baseMkfs();
-    base.resize_inode = false;
-    TuneOptions t;
-    t.sparse_super2 = true;
-    report.cases.push_back(tuneProbe("tune-sparse2-ok",
-                                     "enable sparse_super2 on a resize_inode-free filesystem",
-                                     base, t));
-  }
-  {
-    TuneOptions t;
-    t.metadata_csum = true;
-    t.uninit_bg = true;
-    report.cases.push_back(tuneProbe("tune-csum-uninit",
-                                     "enable metadata_csum together with uninit_bg "
-                                     "(violates the exclusion)",
-                                     baseMkfs(), t));
-  }
-  {
-    TuneOptions t;
-    t.reserved_blocks_count = 100000;
-    report.cases.push_back(tuneProbe("tune-reserved-cap",
-                                     "reserve more blocks than the filesystem holds",
-                                     baseMkfs(), t));
-  }
-  return report;
 }
 
 }  // namespace fsdep::tools

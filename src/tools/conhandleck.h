@@ -6,7 +6,9 @@
 // simulator the campaign finds exactly one corruption: the resize2fs
 // sparse_super2 expansion of the paper's Figure 1 (§4.3: "one unexpected
 // configuration handling case where resize2fs may corrupt the file
-// system").
+// system"). Whether an *interrupted* operation is handled gracefully is
+// CrashCk's and the campaign's question (tools/crashck.h,
+// tools/campaign.h), asked of the same toolchain through one cell.
 #pragma once
 
 #include <string>
@@ -46,20 +48,5 @@ HandleCheckReport runHandleCheck(const std::vector<model::Dependency>& deps);
 
 /// Convenience: extraction over the corpus, then the campaign.
 HandleCheckReport runCorpusHandleCheck();
-
-/// Post-hoc reconfiguration probes: tune2fs-style feature flips that
-/// violate (or respect) the dependency set on a live image. The create-
-/// time validation cannot help here; the offline tool must re-check.
-HandleCheckReport runTuneProbes();
-
-/// Fault mode: replays the behavioural dependency cases under the
-/// CrashCk fault schedules (crash at every write index, seeded torn
-/// writes) and folds the crash-point histogram into the same outcome
-/// taxonomy. A case is Corruption when any crash point — or the
-/// completed run itself — leaves an image that claims to be clean while
-/// fsck disagrees (the Figure 1 resize does exactly that); it is
-/// BehavedConsistently when every point recovers or at worst flags
-/// itself for repair. Deterministic in the seed.
-HandleCheckReport runHandleCheckUnderFaults(std::uint64_t seed = 42);
 
 }  // namespace fsdep::tools

@@ -64,14 +64,11 @@ struct CrashCkReport {
 
 struct CrashCkOptions {
   std::uint64_t seed = 42;
-  /// Subset of crashCkOpNames() to run; empty = all.
+  /// Subset of campaignOpNames() to run; empty = all. "resize" runs
+  /// with the sparse_super2 accounting fix; "resize-buggy" replays the
+  /// shipped (Figure 1) behaviour.
   std::vector<std::string> ops;
 };
-
-/// The operations the enumerator knows how to crash. "resize" runs with
-/// the sparse_super2 accounting fix; "resize-buggy" replays the shipped
-/// (Figure 1) behaviour.
-std::vector<std::string> crashCkOpNames();
 
 /// Recovery oracle, exported so tests can classify hand-built images.
 /// The device must have its faults cleared (the machine rebooted).
@@ -80,8 +77,10 @@ std::vector<std::string> crashCkOpNames();
 CrashOutcome classifyPostCrashImage(fsim::BlockDevice& device, const CrashCanary& canary,
                                     std::string& detail);
 
-/// Enumerates every crash point of one operation. Deterministic: the
-/// same (op, seed) yields an identical report.
+/// Enumerates every crash point of one operation: one campaign cell
+/// (runCampaignCell) per write index of the op's fault-free run, plus
+/// the control, all on the campaign's baseline configuration.
+/// Deterministic: the same (op, seed) yields an identical report.
 Result<CrashOpReport> runCrashOp(const std::string& op, std::uint64_t seed);
 
 /// The full campaign over the requested (default: all) operations.

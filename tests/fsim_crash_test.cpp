@@ -68,23 +68,28 @@ TEST(CrashCk, RemainingOpsNeverCorruptSilently) {
 }
 
 TEST(CrashCk, SameSeedSameReport) {
-  const CrashOpReport a = enumerate("resize-buggy", 1234);
-  const CrashOpReport b = enumerate("resize-buggy", 1234);
-  ASSERT_EQ(a.points.size(), b.points.size());
-  EXPECT_EQ(a.total_writes, b.total_writes);
-  for (std::size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_EQ(a.points[i].outcome, b.points[i].outcome) << i;
-    EXPECT_EQ(a.points[i].detail, b.points[i].detail) << i;
+  for (const std::uint64_t seed : {99, 1234}) {
+    for (const std::string& op : campaignOpNames()) {
+      SCOPED_TRACE(op + " at seed " + std::to_string(seed));
+      const CrashOpReport a = enumerate(op, seed);
+      const CrashOpReport b = enumerate(op, seed);
+      ASSERT_EQ(a.points.size(), b.points.size());
+      EXPECT_EQ(a.total_writes, b.total_writes);
+      for (std::size_t i = 0; i < a.points.size(); ++i) {
+        EXPECT_EQ(a.points[i].outcome, b.points[i].outcome) << i;
+        EXPECT_EQ(a.points[i].detail, b.points[i].detail) << i;
+      }
+    }
   }
 }
 
 TEST(CrashCk, FullCampaignFindsExactlyTheFigure1Lie) {
-  const Result<CrashCkReport> result = runCrashCk(CrashCkOptions{.seed = 42});
+  const Result<CrashCkReport> result = runCrashCk(CrashCkOptions{.seed = 42, .ops = {}});
   ASSERT_TRUE(result.ok());
   const CrashCkReport& report = result.value();
-  EXPECT_EQ(report.ops.size(), crashCkOpNames().size());
+  EXPECT_EQ(report.ops.size(), campaignOpNames().size());
   // The only silent-corruption point in the whole campaign comes from
-  // the buggy resize.
+  // the buggy resize, and no crash point loses the canary.
   for (const CrashOpReport& op : report.ops) {
     if (op.op == "resize-buggy") {
       EXPECT_GE(op.countOf(CrashOutcome::SilentCorruption), 1);
@@ -92,6 +97,7 @@ TEST(CrashCk, FullCampaignFindsExactlyTheFigure1Lie) {
       EXPECT_EQ(op.countOf(CrashOutcome::SilentCorruption), 0)
           << op.op << ": " << op.histogram();
     }
+    EXPECT_EQ(op.countOf(CrashOutcome::DataLoss), 0) << op.op << ": " << op.histogram();
   }
 }
 

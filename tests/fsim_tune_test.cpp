@@ -146,6 +146,14 @@ TEST(Tune, SwitchToSparseSuper2AndBack) {
   FsImage image(dev2);
   EXPECT_TRUE(image.loadSuperblock().hasCompat(kCompatSparseSuper2));
   EXPECT_GT(image.loadSuperblock().backup_bgs[1], 0u);
+  const auto fsck = FsckTool::check(dev2, FsckOptions{.force = true});
+  ASSERT_TRUE(fsck.ok());
+  EXPECT_TRUE(fsck.value().isClean()) << fsck.value().summary();
+  {
+    auto mounted = MountTool::mount(dev2, MountOptions{});
+    ASSERT_TRUE(mounted.ok()) << mounted.error().message;
+    mounted.value().unmount();
+  }
 
   TuneOptions back;
   back.sparse_super2 = false;
