@@ -261,8 +261,8 @@ const std::vector<SamplingKnob>& samplingKnobs() {
 
 GeneratedConfig baselineConfig() {
   GeneratedConfig c;
-  // The CrashCk / ConHandleCk baseline geometry, so single-config crash
-  // campaigns are one row of this matrix.
+  // ConHandleCk's baseline geometry. CrashCk's exhaustive crash sweep
+  // runs on this row (sparse_super2 on for the resize ops).
   c.mkfs.block_size = 1024;
   c.mkfs.size_blocks = 2048;
   c.mkfs.blocks_per_group = 512;

@@ -72,8 +72,10 @@ struct SamplingKnob {
 /// index into it with the choice vectors below.
 const std::vector<SamplingKnob>& samplingKnobs();
 
-/// The baseline configuration every sample is derived from (the CrashCk
-/// geometry: 1 KiB blocks, 2048-block filesystem, 512 blocks/group).
+/// The baseline configuration every sample is derived from: 1 KiB
+/// blocks, 2048-block filesystem, 512 blocks/group, resize to 3072.
+/// CrashCk runs every crash point of this row (sparse_super2 on for
+/// the resize ops).
 GeneratedConfig baselineConfig();
 
 /// Applies choice `value` of knob `knob` to `config`.
