@@ -115,7 +115,8 @@ std::uint64_t imageStateDigest(BlockDevice& device) {
 
   hashSuperblock(sb, h);
 
-  const std::uint32_t groups = sb.groupCount();
+  // A corrupt count may claim more groups than the descriptor table holds.
+  const std::uint32_t groups = std::min(sb.groupCount(), sb.maxGroups());
   for (std::uint32_t group = 0; group < groups; ++group) {
     h.str("group", 5);
     h.u32(group);

@@ -75,7 +75,12 @@ struct Superblock {
   [[nodiscard]] bool hasRoCompat(std::uint32_t mask) const {
     return (feature_ro_compat & mask) != 0;
   }
+  /// Block groups past first_data_block, counted in 64 bits (0 when
+  /// blocks_count <= first_data_block).
   [[nodiscard]] std::uint32_t groupCount() const;
+  /// Groups a one-block descriptor table can address; mkfs, resize,
+  /// mount and fsck refuse a geometry with more.
+  [[nodiscard]] std::uint32_t maxGroups() const;
   /// Blocks in group `group` (the last group may be short).
   [[nodiscard]] std::uint32_t blocksInGroup(std::uint32_t group) const;
 

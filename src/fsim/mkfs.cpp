@@ -121,8 +121,7 @@ Result<Superblock> MkfsTool::formatImpl(BlockDevice& device, const MkfsOptions& 
   }
   sb.blocks_per_group = o.blocks_per_group == 0 ? 8 * o.block_size : o.blocks_per_group;
   // Keep group descriptors within one block.
-  const std::uint32_t max_groups = o.block_size / GroupDesc::kDiskSize;
-  if (sb.groupCount() > max_groups) {
+  if (sb.groupCount() > sb.maxGroups()) {
     return makeError("mkfs: too many block groups for a one-block descriptor table");
   }
   sb.inode_size = o.inode_size;

@@ -26,6 +26,9 @@ std::vector<std::string> MountTool::validateSuperblock(const Superblock& sb) {
   if (sb.blocks_count < sb.first_data_block + 8) {
     problems.push_back("block count too small for the layout");
   }
+  if (sb.groupCount() > sb.maxGroups()) {
+    problems.push_back("too many block groups for a one-block descriptor table");
+  }
   return problems;
 }
 

@@ -98,8 +98,6 @@ Result<ResizeReport> ResizeTool::resizeImpl(BlockDevice& device, const ResizeOpt
     return report;
   }
 
-  const std::uint32_t max_groups = sb.blockSize() / GroupDesc::kDiskSize;
-
   if (o.new_size_blocks > sb.blocks_count) {
     // ---- Grow. ----
     report.grew = true;
@@ -110,13 +108,11 @@ Result<ResizeReport> ResizeTool::resizeImpl(BlockDevice& device, const ResizeOpt
     const std::uint32_t old_last = old_groups - 1;
     const std::uint32_t old_last_blocks = sb.blocksInGroup(old_last);
 
-    // In 64 bits: groupCount() of a target near 2^32 wraps to zero.
-    if (o.new_size_blocks >
-        std::uint64_t{max_groups} * sb.blocks_per_group + sb.first_data_block) {
-      return makeError("resize2fs: descriptor table cannot address that many groups");
-    }
     Superblock new_sb = sb;
     new_sb.blocks_count = o.new_size_blocks;
+    if (new_sb.groupCount() > sb.maxGroups()) {
+      return makeError("resize2fs: descriptor table cannot address that many groups");
+    }
 
     // Make sure the device is large enough.
     if (o.new_size_blocks > device.blockCount()) device.resize(o.new_size_blocks);

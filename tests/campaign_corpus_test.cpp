@@ -9,7 +9,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <tuple>
+
+#include "json/json.h"
 
 #ifndef FSDEP_CAMPAIGN_CORPUS_DIR
 #error "FSDEP_CAMPAIGN_CORPUS_DIR must point at the committed corpus"
@@ -33,6 +37,45 @@ TEST(CampaignCorpus, CommittedReprosStillReplay) {
     EXPECT_EQ(c.recorded, CrashOutcome::SilentCorruption) << c.file;
     EXPECT_EQ(c.op, "resize-buggy") << c.file;
   }
+}
+
+/// The first committed reproducer, parsed.
+json::Value firstCommittedRepro() {
+  std::filesystem::path first;
+  for (const auto& entry : std::filesystem::directory_iterator(FSDEP_CAMPAIGN_CORPUS_DIR)) {
+    if (first.empty() || entry.path() < first) first = entry.path();
+  }
+  std::ifstream in(first);
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  Result<json::Value> doc = json::parse(text);
+  EXPECT_TRUE(doc.ok()) << first;
+  return doc.ok() ? std::move(doc).take() : json::Value();
+}
+
+TEST(CampaignCorpus, ReplayedSizesNearTwoToTheThirtySecondGiveStructuredOutcomes) {
+  // Both sizes come from the replayed file. The device is sized in 64
+  // bits and allocates only what the tools write, and the tools refuse
+  // the geometry: a 2^31-block resize target and a 2^32 - 1 block mkfs.
+  for (const auto& [section, key, value] :
+       {std::tuple{"", "resize_target", std::uint64_t{0x80000000u}},
+        std::tuple{"mkfs", "size_blocks", std::uint64_t{0xFFFFFFFFu}}}) {
+    json::Value doc = firstCommittedRepro();
+    json::Object& config = doc.asObject()["config"].asObject();
+    json::Object& fields = *section == '\0' ? config : config[section].asObject();
+    fields[key] = value;
+    const Result<ReplayCase> replayed = replayCorpusDocument(doc, key);
+    ASSERT_TRUE(replayed.ok()) << key << ": " << replayed.error().message;
+    EXPECT_FALSE(replayed.value().detail.empty()) << key;
+  }
+}
+
+TEST(CampaignCorpus, ReplayRejectsAValueThatDoesNotFitItsField) {
+  json::Value doc = firstCommittedRepro();
+  doc.asObject()["config"].asObject()["resize_target"] = std::uint64_t{4294967296u};
+  const Result<ReplayCase> replayed = replayCorpusDocument(doc, "too-big.json");
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_NE(replayed.error().message.find("resize_target"), std::string::npos)
+      << replayed.error().message;
 }
 
 TEST(CampaignCorpus, ReplayRejectsMissingDirectory) {

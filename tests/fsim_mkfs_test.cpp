@@ -99,6 +99,18 @@ TEST(Mkfs, RejectsSizeBeyondDevice) {
   EXPECT_FALSE(MkfsTool::format(dev, o).ok());
 }
 
+TEST(Mkfs, RejectsMoreGroupsThanTheDescriptorTableHolds) {
+  // 2^32 - 1 blocks of 1 KiB are 524,288 groups (0 when counted in 32
+  // bits, which mkfs then divided by).
+  BlockDevice dev(0xFFFFFFFFu, 1024);
+  MkfsOptions o = smallFs();
+  o.size_blocks = 0xFFFFFFFFu;
+  const auto sb = MkfsTool::format(dev, o);
+  ASSERT_FALSE(sb.ok());
+  EXPECT_NE(sb.error().message.find("one-block descriptor table"), std::string::npos)
+      << sb.error().message;
+}
+
 TEST(Mkfs, SparseSuper2SetsBackupGroups) {
   BlockDevice dev(4096, 1024);
   MkfsOptions o = smallFs();

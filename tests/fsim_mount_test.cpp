@@ -91,6 +91,29 @@ TEST(Mount, RejectsFieldDomainViolations) {
   }
 }
 
+TEST(Mount, RejectsGeometryWithoutGroupsOrBeyondTheDescriptorTable) {
+  // 0xFFFFFFFF blocks counted 0 groups in 32 bits; 0 blocks sit below
+  // first_data_block.
+  for (const std::uint32_t blocks : {0xFFFFFFFFu, 0u}) {
+    BlockDevice dev = makeFs();
+    FsImage image(dev);
+    Superblock sb = image.loadSuperblock();
+    sb.blocks_count = blocks;
+    sb.updateChecksum();
+    image.storeSuperblock(sb);
+    const auto mounted = MountTool::mount(dev, MountOptions{});
+    ASSERT_FALSE(mounted.ok()) << blocks;
+    EXPECT_NE(mounted.error().message.find("mount: refused"), std::string::npos) << blocks;
+    FsckOptions fsck;
+    for (const bool force : {false, true}) {
+      fsck.force = force;
+      const auto checked = FsckTool::check(dev, fsck);
+      ASSERT_FALSE(checked.ok()) << blocks;
+      EXPECT_NE(checked.error().message.find("geometry"), std::string::npos) << blocks;
+    }
+  }
+}
+
 TEST(Mount, OptionInteractionChecks) {
   BlockDevice dev = makeFs(nullptr, 4096);
   struct Case {
