@@ -72,7 +72,6 @@ void mixOptions(CacheKey& key, const taint::AnalysisOptions& options) {
   key.mix("taint-options");
   key.mix(options.inter_procedural);
   key.mix(options.field_bridging);
-  key.mix(static_cast<std::uint64_t>(options.max_trace_steps));
 }
 
 void mixOptions(CacheKey& key, const extract::ExtractOptions& options) {
@@ -85,7 +84,6 @@ void mixOptions(CacheKey& key, const extract::ExtractOptions& options) {
   }
   key.mix(static_cast<std::uint64_t>(options.error_functions.size()));
   for (const std::string& fn : options.error_functions) key.mix(fn);
-  key.mix(options.enable_bridging);
 }
 
 void DiskCache::configure(DiskCacheConfig config) {

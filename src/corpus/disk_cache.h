@@ -48,7 +48,9 @@ namespace fsdep::corpus {
 /// v3: the inter-procedural engine choice (`summaries`) and its pass cap
 /// (`max_global_passes`) left AnalysisOptions and the key fingerprint.
 /// v4: the executor choice left them too; the Taint-IR is the only one.
-inline constexpr int kDiskCacheSchemaVersion = 4;
+/// v5: the trace cap and the extract-side bridging switch left the
+/// options and the key; extraction follows AnalysisOptions::field_bridging.
+inline constexpr int kDiskCacheSchemaVersion = 5;
 
 /// Incremental 2x64-bit FNV-1a hasher for cache keys. Two independent
 /// offset bases give a 128-bit identity — enough that distinct requests
@@ -79,7 +81,7 @@ std::uint64_t contentDigest(std::string_view text);
 
 /// Folds every field of the analysis/extract options into the key, so an
 /// --inter result can never be served to an --intra request (and vice
-/// versa for bridging, trace budgets, parser tables, ...).
+/// versa for bridging, parser tables, ...).
 void mixOptions(CacheKey& key, const taint::AnalysisOptions& options);
 void mixOptions(CacheKey& key, const extract::ExtractOptions& options);
 

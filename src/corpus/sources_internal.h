@@ -1,5 +1,8 @@
-// Internal: raw source text of the embedded corpus, one constant per file.
+// Internal: raw source text of the embedded Ext4 corpus, one constant per
+// file, and the per-file-system entries fileSystems() lists.
 #pragma once
+
+#include "corpus/corpus.h"
 
 namespace fsdep::corpus {
 
@@ -12,16 +15,9 @@ extern const char* kE4defragSource; // "e4defrag.c"
 extern const char* kResize2fsSource;// "resize2fs.c"
 extern const char* kE2fsckSource;   // "e2fsck.c"
 
-// The XFS mini-ecosystem (paper SS6 future work).
-extern const char* kXfsFsHeader;    // "xfs_fs.h"
-extern const char* kMkfsXfsSource;  // "mkfs_xfs.c"
-extern const char* kXfsKernelSource;// "xfs.c"
-extern const char* kXfsGrowfsSource;// "xfs_growfs.c"
-
-// The BtrFS mini-ecosystem (paper SS6 future work).
-extern const char* kBtrfsFsHeader;     // "btrfs_fs.h"
-extern const char* kMkfsBtrfsSource;   // "mkfs_btrfs.c"
-extern const char* kBtrfsKernelSource; // "btrfs.c"
-extern const char* kBtrfsBalanceSource;// "btrfs_balance.c"
+// One entry per file system, each defined beside that file system's data.
+FileSystem ext4FileSystem();   // ext4.cpp
+FileSystem xfsFileSystem();    // sources_xfs.cpp
+FileSystem btrfsFileSystem();  // sources_btrfs.cpp
 
 }  // namespace fsdep::corpus

@@ -154,10 +154,9 @@ struct ComponentOutput {
   std::size_t first_slot = 0;  ///< output index of the first kept candidate
 };
 
-void collectWriters(const ComponentRun& comp, const ExtractOptions& options,
-                    ComponentOutput& out) {
+void collectWriters(const ComponentRun& comp, ComponentOutput& out) {
   out.events = comp.analyzer->writeEvents();
-  if (!options.enable_bridging) return;
+  if (!comp.analyzer->options().field_bridging) return;
   const taint::LabelTable& labels = comp.analyzer->labels();
   for (const taint::WriteEvent* e : out.events) {
     if (!e->is_field) continue;
@@ -264,7 +263,7 @@ class ComponentRules {
       for (const std::string& p : info.params) {
         flag_units.push_back(FlagUnit{p, atom.negated, ""});
       }
-      if (options_.enable_bridging) {
+      if (comp_.analyzer->options().field_bridging) {
         const std::int64_t mask = bitTestMask(*atom.expr, *comp_.sema).value_or(kAllBits);
         for (const FieldRead& fr : fieldReadsIn(*atom.expr, *comp_.sema, mask)) {
           for (const FieldWriter* w : writers_.writersOf(fr.key, fr.mask)) {
@@ -435,7 +434,7 @@ class ComponentRules {
   // Behavioral guards and derivations -> behavioral CCD
   // -------------------------------------------------------------------
   void handleBehavioralGuard(const Guard& guard) {
-    if (!options_.enable_bridging) return;
+    if (!comp_.analyzer->options().field_bridging) return;
     const taint::LabelSet labels = comp_.analyzer->labelsOf(*guard.condition, *guard.state);
     std::vector<std::string> own_params;
     std::vector<FieldRead> fields = fieldReadsIn(*guard.condition, *comp_.sema, kAllBits);
@@ -472,7 +471,7 @@ class ComponentRules {
   }
 
   void extractDerivations() {
-    if (!options_.enable_bridging) return;
+    if (!comp_.analyzer->options().field_bridging) return;
     for (const taint::WriteEvent* e : out_.events) {
       if (e->is_field) continue;
       std::vector<std::string> params;
@@ -846,7 +845,7 @@ std::vector<Dependency> extractDependencies(const std::vector<ComponentRun>& run
   {
     obs::Span span("extract", "writers");
     ThreadPool::parallelFor(runs.size(), jobs, [&](std::size_t i) {
-      collectWriters(runs[i], options, outputs[i]);
+      collectWriters(runs[i], outputs[i]);
     });
     for (const ComponentOutput& out : outputs) {
       for (const FieldWriter& writer : out.writers) writers.add(writer);

@@ -61,8 +61,6 @@ struct ExtractOptions {
   std::map<std::string, std::string> parser_types;
   /// callee names that mark an error path.
   std::vector<std::string> error_functions;
-  /// Ablation knob: disable metadata bridging (CCD extraction collapses).
-  bool enable_bridging = true;
 };
 
 /// Extracts and deduplicates dependencies across the given component runs,

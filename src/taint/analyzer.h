@@ -45,7 +45,6 @@ struct AnalysisOptions {
   /// When false, reading a metadata field does not produce the field's
   /// bridge label; CCD extraction then finds nothing (ablation knob).
   bool field_bridging = true;
-  std::size_t max_trace_steps = 24;
 
   bool operator==(const AnalysisOptions& other) const = default;
 };

@@ -226,13 +226,12 @@ void expectWithinBudget(const Tally& t) {
 }
 
 TEST(AllocBudget, SeedComponents) {
-  std::vector<std::string> names = corpus::componentNames();
-  for (const std::string& n : corpus::xfsComponentNames()) names.push_back(n);
-  for (const std::string& n : corpus::btrfsComponentNames()) names.push_back(n);
   Tally tally;
-  for (const std::string& name : names) {
-    tally.add(name);
-    if (HasFatalFailure()) return;
+  for (const corpus::FileSystem& fs : corpus::fileSystems()) {
+    for (const corpus::Component& component : fs.components) {
+      tally.add(component.name);
+      if (HasFatalFailure()) return;
+    }
   }
   tally.print("seed");
   expectWithinBudget(tally);

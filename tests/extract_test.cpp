@@ -190,8 +190,10 @@ struct BridgedPair {
   MiniComponent writer;
   MiniComponent reader;
 
+  /// `bridging = false` analyzes both sides without field bridging (the
+  /// ablation knob, which extraction follows).
   explicit BridgedPair(const std::string& reader_code,
-                       const std::vector<taint::Seed>& reader_seeds)
+                       const std::vector<taint::Seed>& reader_seeds, bool bridging = true)
       : writer("mke2fs",
                "struct super { unsigned int blocks; unsigned int compat; };\n"
                "void write_super(struct super *sb) {\n"
@@ -200,18 +202,17 @@ struct BridgedPair {
                "  sb->compat |= (featurex ? 16 : 0);\n"
                "}",
                {{"write_super", "size", "mke2fs.size"},
-                {"write_super", "featurex", "mke2fs.featurex"}}),
+                {"write_super", "featurex", "mke2fs.featurex"}},
+               {.field_bridging = bridging}),
         reader("resize2fs",
                "struct super { unsigned int blocks; unsigned int compat; };\n"
                "void grow(struct super *sb);\nvoid shrink(struct super *sb);\n"
                "void fatal_error(const char *m);\n" +
                    reader_code,
-               reader_seeds) {}
+               reader_seeds, {.field_bridging = bridging}) {}
 
-  [[nodiscard]] std::vector<Dependency> extract(bool bridging = true) const {
-    ExtractOptions o = defaultOptions();
-    o.enable_bridging = bridging;
-    return extractDependencies({writer.run(), reader.run()}, o);
+  [[nodiscard]] std::vector<Dependency> extract() const {
+    return extractDependencies({writer.run(), reader.run()}, defaultOptions());
   }
 };
 
@@ -327,8 +328,8 @@ TEST(Extract, BridgingAblationKillsCcd) {
       "  long target = 0;\n"
       "  if (target > sb->blocks) { grow(sb); } else { shrink(sb); }\n"
       "}",
-      {{"decide", "target", "resize2fs.size"}});
-  const auto deps = pair.extract(/*bridging=*/false);
+      {{"decide", "target", "resize2fs.size"}}, /*bridging=*/false);
+  const auto deps = pair.extract();
   for (const Dependency& d : deps) {
     EXPECT_NE(d.level(), model::DepLevel::CrossComponent)
         << "with bridging disabled no CCD may survive: " << d.summary();

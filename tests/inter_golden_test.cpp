@@ -82,9 +82,10 @@ constexpr std::uint64_t kTable5Text = 0x9dbc613bfaec15e9ull;
 constexpr std::uint64_t kTable5Deps = 0x7fe7b33177d53f6aull;
 
 std::vector<std::string> seedComponentNames() {
-  std::vector<std::string> names = componentNames();
-  for (const std::string& n : xfsComponentNames()) names.push_back(n);
-  for (const std::string& n : btrfsComponentNames()) names.push_back(n);
+  std::vector<std::string> names;
+  for (const FileSystem& fs : fileSystems()) {
+    for (const Component& component : fs.components) names.push_back(component.name);
+  }
   return names;
 }
 
@@ -103,9 +104,9 @@ TEST(InterGolden, SeedComponentAnalyzerState) {
 
 TEST(InterGolden, PerScenarioDependencies) {
   std::vector<std::pair<Scenario, extract::ExtractOptions>> runs;
-  for (const Scenario& s : scenarios()) runs.emplace_back(s, extractOptions());
-  runs.emplace_back(xfsScenario(), extractOptions());
-  runs.emplace_back(btrfsScenario(), extractOptions());
+  for (const FileSystem& fs : fileSystems()) {
+    for (const Scenario& s : fs.scenarios) runs.emplace_back(s, extractOptions());
+  }
   ASSERT_EQ(runs.size(), std::size(kScenarios));
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& [scenario, options] = runs[i];

@@ -72,9 +72,10 @@ constexpr std::uint64_t kAmplified50Deps = 0x3968060002fa5372ull;
 constexpr std::uint64_t kAmplified50Counters = 0x59432975b9a5f94cull;
 
 std::vector<std::string> seedComponentNames() {
-  std::vector<std::string> names = componentNames();
-  for (const std::string& n : xfsComponentNames()) names.push_back(n);
-  for (const std::string& n : btrfsComponentNames()) names.push_back(n);
+  std::vector<std::string> names;
+  for (const FileSystem& fs : fileSystems()) {
+    for (const Component& component : fs.components) names.push_back(component.name);
+  }
   return names;
 }
 
@@ -93,9 +94,9 @@ TEST(IntraGolden, SeedComponentAnalyzerState) {
 
 TEST(IntraGolden, PerScenarioDependencies) {
   std::vector<std::pair<Scenario, extract::ExtractOptions>> runs;
-  for (const Scenario& s : scenarios()) runs.emplace_back(s, extractOptions());
-  runs.emplace_back(xfsScenario(), extractOptions());
-  runs.emplace_back(btrfsScenario(), extractOptions());
+  for (const FileSystem& fs : fileSystems()) {
+    for (const Scenario& s : fs.scenarios) runs.emplace_back(s, extractOptions());
+  }
   ASSERT_EQ(runs.size(), std::size(kScenarios));
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& [scenario, options] = runs[i];

@@ -47,12 +47,8 @@ std::string errorOf(const json::Object& response) {
 
 /// What the one-shot CLI prints for `fsdep extract --scenario <id>`.
 std::string directExtractText(const std::string& scenario_id) {
-  std::vector<corpus::Scenario> known = corpus::scenarios();
-  known.push_back(corpus::xfsScenario());
-  known.push_back(corpus::btrfsScenario());
-  for (const corpus::Scenario& s : known) {
-    if (s.id != scenario_id) continue;
-    const std::vector<model::Dependency> deps = corpus::runScenario(s);
+  if (const corpus::Scenario* s = corpus::findScenario(scenario_id)) {
+    const std::vector<model::Dependency> deps = corpus::runScenario(*s);
     std::string text;
     for (const model::Dependency& dep : deps) {
       text += dep.summary();

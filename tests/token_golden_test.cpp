@@ -47,9 +47,10 @@ constexpr std::uint64_t kSeedStream = 0x009a180022363f7dull;
 constexpr std::uint64_t kAmplifiedStream = 0xcf4a65d103cced22ull;
 
 TEST(TokenGolden, SeedComponents) {
-  std::vector<std::string> names = componentNames();
-  for (const std::string& n : xfsComponentNames()) names.push_back(n);
-  for (const std::string& n : btrfsComponentNames()) names.push_back(n);
+  std::vector<std::string> names;
+  for (const FileSystem& fs : fileSystems()) {
+    for (const Component& component : fs.components) names.push_back(component.name);
+  }
   ASSERT_EQ(names.size(), 12u);
   std::string stream;
   for (const std::string& name : names) appendTokenStream(name, stream);
