@@ -48,7 +48,6 @@ struct TypeSpec {
   bool is_array = false;
   std::int64_t array_size = 0;  ///< 0 for unsized arrays
 
-  [[nodiscard]] bool isPointer() const { return pointer_depth > 0; }
   [[nodiscard]] std::string spelling() const;
 };
 

@@ -131,7 +131,6 @@ class ObsSession {
       // One collection serves both outputs; no JSON round trip for the
       // profile.
       const std::vector<obs::TraceEvent> events = obs::Trace::stopEvents();
-      report.setTraceDropped(obs::Trace::droppedEvents());
       if (!trace_path.empty() && !writeText(trace_path, obs::Trace::render(events))) {
         FSDEP_LOG_ERROR("cli", "cannot write trace file %s", trace_path.c_str());
       }
@@ -288,6 +287,6 @@ int main(int argc, char** argv) {
     }
   }
   obs.finish(result.exit_code);
-  if (options.on("stats")) std::fputs(corpus::pipelineStatsSnapshot().format().c_str(), stderr);
+  if (options.on("stats")) std::fputs(corpus::formatPipelineStats().c_str(), stderr);
   return result.exit_code;
 }

@@ -12,8 +12,7 @@
 
 namespace fsdep::corpus {
 
-std::shared_ptr<const ComponentEntry> ComponentCache::build(
-    const std::string& name, const taint::AnalysisOptions& options) {
+std::shared_ptr<const ComponentEntry> ComponentCache::build(const std::string& name) {
   obs::Span span("pipeline", "parse");
   span.arg("component", name);
   const auto start = std::chrono::steady_clock::now();
@@ -21,7 +20,6 @@ std::shared_ptr<const ComponentEntry> ComponentCache::build(
   auto entry = std::make_shared<ComponentEntry>();
   entry->name = name;
   entry->is_kernel = isKernelComponent(name);
-  entry->options = options;
 
   const std::string_view source = componentSource(name);
   if (source.empty()) throw std::runtime_error("unknown corpus component: " + name);
@@ -56,57 +54,45 @@ std::shared_ptr<const ComponentEntry> ComponentCache::build(
   return entry;
 }
 
-std::shared_ptr<const ComponentEntry> ComponentCache::get(
-    const std::string& name, const taint::AnalysisOptions& options, bool* built) {
-  static obs::Counter& hit_counter = obs::Registry::global().counter("cache.hits");
-  static obs::Counter& miss_counter = obs::Registry::global().counter("cache.misses");
+std::shared_ptr<const ComponentEntry> ComponentCache::get(const std::string& name,
+                                                          bool* built) {
   static obs::Counter& wait_counter = obs::Registry::global().counter("cache.waits");
-  static obs::Counter& failure_counter =
-      obs::Registry::global().counter("cache.build_failures");
 
   std::shared_future<std::shared_ptr<const ComponentEntry>> future;
   std::promise<std::shared_ptr<const ComponentEntry>> promise;
   bool is_builder = false;
-  bool is_hit = false;
   std::uint64_t ticket = 0;
   Builder builder;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const bool enabled = enabled_.load(std::memory_order_relaxed);
     const auto it = slots_.find(name);
-    if (enabled && it != slots_.end() && it->second.options == options) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      is_hit = true;
+    if (enabled && it != slots_.end()) {
       future = it->second.future;
     } else {
-      // First request, options mismatch, or caching disabled: (re)build.
-      // Prior waiters keep their shared_future; this slot now serves
-      // the new build. The ticket identifies it so failure eviction and
-      // clear() can't remove someone else's slot. With caching disabled
-      // the build stays private — existing entries are left untouched
-      // for when the cache is re-enabled (ticket 0 never matches a
-      // slot, so the failure path leaves the map alone too).
-      misses_.fetch_add(1, std::memory_order_relaxed);
+      // First request or caching disabled: build. The ticket identifies
+      // this build so failure eviction and clear() can't remove someone
+      // else's slot. With caching disabled the build stays private —
+      // existing entries are left untouched for when the cache is
+      // re-enabled (ticket 0 never matches a slot, so the failure path
+      // leaves the map alone too).
       future = promise.get_future().share();
       if (enabled) {
         ticket = next_ticket_++;
-        slots_[name] = Slot{options, future, ticket};
+        slots_[name] = Slot{future, ticket};
       }
       is_builder = true;
       builder = builder_override_;
     }
   }
 
-  // Registry lookups for the per-component labeled series walk the
-  // registry's own lock-path; do them after mu_ is released so a serve
-  // daemon's hot hit path never serializes cache traffic on them.
-  if (is_hit) {
-    hit_counter.add();
-    obs::Registry::global().counter("cache.hits", {{"component", name}}).add();
-  } else {
-    miss_counter.add();
-    obs::Registry::global().counter("cache.misses", {{"component", name}}).add();
-  }
+  // The per-component series are the only count of cache traffic. Their
+  // registry lookup walks the registry's own lock-path; do it after mu_
+  // is released so a serve daemon's hot hit path never serializes cache
+  // traffic on it.
+  obs::Registry::global()
+      .counter(is_builder ? "cache.misses" : "cache.hits", {{"component", name}})
+      .add();
 
   if (built != nullptr) *built = is_builder;
   if (is_builder) {
@@ -116,7 +102,7 @@ std::shared_ptr<const ComponentEntry> ComponentCache::get(
       obs::Trace::instant("cache", "cache-miss", std::move(args));
     }
     try {
-      promise.set_value(builder ? builder(name, options) : build(name, options));
+      promise.set_value(builder ? builder(name) : build(name));
     } catch (...) {
       // A failed build must not poison the slot: waiters that already
       // hold the shared_future see this exception once, but the slot is
@@ -129,8 +115,6 @@ std::shared_ptr<const ComponentEntry> ComponentCache::get(
           slots_.erase(slot);
         }
       }
-      build_failures_.fetch_add(1, std::memory_order_relaxed);
-      failure_counter.add();
       obs::Registry::global().counter("cache.build_failures", {{"component", name}}).add();
       promise.set_exception(std::current_exception());
     }
@@ -149,6 +133,16 @@ std::shared_ptr<const ComponentEntry> ComponentCache::get(
     return future.get();
   }
   return future.get();  // waiters see a failed build's exception once
+}
+
+std::uint64_t ComponentCache::hits() { return obs::Registry::global().counterSum("cache.hits"); }
+
+std::uint64_t ComponentCache::misses() {
+  return obs::Registry::global().counterSum("cache.misses");
+}
+
+std::uint64_t ComponentCache::buildFailures() {
+  return obs::Registry::global().counterSum("cache.build_failures");
 }
 
 std::size_t ComponentCache::size() const {

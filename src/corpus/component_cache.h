@@ -7,10 +7,15 @@
 //
 // Concurrency: the first requester of a component parses it; concurrent
 // requesters block on a shared future and get the same entry (one parse,
-// N consumers). Entries are keyed by component name and remember the
-// AnalysisOptions they were built under — a request with different
-// options invalidates the entry and rebuilds, so ablation runs never
-// accidentally share state with default-option runs.
+// N consumers). Entries are keyed by component name alone: nothing in an
+// entry depends on the AnalysisOptions (the frontend and the IR take
+// none), so intra, inter and no-bridging analyses share one parse and
+// hand their options only to their own Analyzer.
+//
+// Traffic is counted only in the metrics registry, per component:
+// cache.hits, cache.misses and cache.build_failures {component}, plus
+// the unlabeled cache.waits. hits()/misses()/buildFailures() sum those
+// series, so they count for every cache of the process.
 //
 // Failure semantics: a builder failure is NOT cached. The failing slot
 // is evicted as the builder publishes the exception, so requesters that
@@ -45,7 +50,6 @@ namespace fsdep::corpus {
 struct ComponentEntry {
   std::string name;
   bool is_kernel = false;
-  taint::AnalysisOptions options;  ///< options this entry was built under
   SourceManager sm;
   DiagnosticEngine diags;
   std::unique_ptr<ast::TranslationUnit> tu;
@@ -62,31 +66,23 @@ struct ComponentEntry {
 class ComponentCache {
  public:
   /// Returns the shared entry for `name`, parsing it first if this is
-  /// the first request (or the cached entry was built under different
-  /// AnalysisOptions). Throws std::runtime_error for unknown components
+  /// the first request. Throws std::runtime_error for unknown components
   /// or corpus frontend bugs; the failed slot is evicted so a later
   /// call retries instead of rethrowing a stale error forever. `built`
   /// (optional) is set to true when this call did the parse, false when
   /// it reused or waited on one.
-  std::shared_ptr<const ComponentEntry> get(const std::string& name,
-                                            const taint::AnalysisOptions& options,
-                                            bool* built = nullptr);
+  std::shared_ptr<const ComponentEntry> get(const std::string& name, bool* built = nullptr);
 
   /// Parses a component without touching any cache (the seed's
   /// per-scenario behavior; benchmarks use this as the baseline).
-  static std::shared_ptr<const ComponentEntry> build(const std::string& name,
-                                                     const taint::AnalysisOptions& options);
+  static std::shared_ptr<const ComponentEntry> build(const std::string& name);
 
-  /// Per-instance cache traffic. get() also mirrors these into the obs
-  /// metrics registry ("cache.hits"/"cache.misses"/"cache.waits"/
-  /// "cache.build_failures"), so --metrics and --report see the same
-  /// numbers --stats prints.
-  [[nodiscard]] std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  /// Builds that threw (and evicted their slot for retry).
-  [[nodiscard]] std::uint64_t buildFailures() const {
-    return build_failures_.load(std::memory_order_relaxed);
-  }
+  /// Cache traffic of the whole process: the sums of the registry's
+  /// cache.hits, cache.misses and cache.build_failures series (a build
+  /// failure evicts its slot for retry).
+  [[nodiscard]] static std::uint64_t hits();
+  [[nodiscard]] static std::uint64_t misses();
+  [[nodiscard]] static std::uint64_t buildFailures();
   [[nodiscard]] std::size_t size() const;
 
   /// Drops every entry (outstanding shared_ptrs stay valid). Safe while
@@ -99,13 +95,11 @@ class ComponentCache {
   /// miss) — the CLI's --no-cache behavior. Entries already cached are
   /// kept but not consulted until re-enabled.
   void setEnabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
-  [[nodiscard]] bool isEnabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Test hook: replaces build() for this instance (e.g. a transient-
   /// failure source). Pass nullptr to restore the real builder. Not for
   /// production use.
-  using Builder = std::function<std::shared_ptr<const ComponentEntry>(
-      const std::string&, const taint::AnalysisOptions&)>;
+  using Builder = std::function<std::shared_ptr<const ComponentEntry>(const std::string&)>;
   void setBuilderForTesting(Builder builder);
 
   /// Process-wide cache used by AnalyzedComponent and the pipeline.
@@ -113,7 +107,6 @@ class ComponentCache {
 
  private:
   struct Slot {
-    taint::AnalysisOptions options;
     std::shared_future<std::shared_ptr<const ComponentEntry>> future;
     /// Monotonic id of the build occupying this slot. The builder
     /// carries its ticket; eviction (on failure) only removes the slot
@@ -127,9 +120,6 @@ class ComponentCache {
   std::uint64_t next_ticket_ = 1;
   Builder builder_override_;
   std::atomic<bool> enabled_{true};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> build_failures_{0};
 };
 
 }  // namespace fsdep::corpus

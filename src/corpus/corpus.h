@@ -100,7 +100,7 @@ const std::vector<extract::GroundTruthEntry>& groundTruth();
 /// The parameter registry of the ecosystem (Table 2 totals).
 const model::Ecosystem& ecosystem();
 
-/// Structured manual (man-page) for a component: each entry is a
+/// Structured manuals (man pages) of the components: each entry is a
 /// constraint the documentation states, as a model::Dependency claim plus
 /// the sentence it comes from. ConDocCk diffs these claims against the
 /// extracted dependencies: a code dependency with no claim is
@@ -110,8 +110,7 @@ struct ManualEntry {
   model::Dependency claim;
   std::string text;
 };
-std::vector<ManualEntry> manualFor(std::string_view component);
-/// All manuals concatenated.
+/// Every component's manual, concatenated.
 std::vector<ManualEntry> allManuals();
 
 /// Test-suite manifest: which parameters a suite's cases mention. Used by

@@ -40,6 +40,23 @@ std::uint64_t fnv1aU64(std::uint64_t h, std::uint64_t v) {
 // the exact payload size.
 constexpr const char* kMagic = "fsdep-cache";
 
+obs::Counter& hitCounter() {
+  static obs::Counter& c = obs::Registry::global().counter("cache.disk.hits");
+  return c;
+}
+obs::Counter& missCounter() {
+  static obs::Counter& c = obs::Registry::global().counter("cache.disk.misses");
+  return c;
+}
+obs::Counter& storeCounter() {
+  static obs::Counter& c = obs::Registry::global().counter("cache.disk.stores");
+  return c;
+}
+obs::Counter& evictionCounter() {
+  static obs::Counter& c = obs::Registry::global().counter("cache.disk.evictions");
+  return c;
+}
+
 }  // namespace
 
 CacheKey& CacheKey::mix(std::string_view bytes) {
@@ -111,12 +128,8 @@ std::string DiskCache::entryPath(const CacheKey& key) const {
 
 std::optional<std::string> DiskCache::load(const CacheKey& key,
                                            const std::function<bool(std::string_view)>& accept) {
-  static obs::Counter& hit_counter = obs::Registry::global().counter("cache.disk.hits");
-  static obs::Counter& miss_counter = obs::Registry::global().counter("cache.disk.misses");
-
-  const auto miss = [&]() -> std::optional<std::string> {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    miss_counter.add();
+  const auto miss = []() -> std::optional<std::string> {
+    missCounter().add();
     return std::nullopt;
   };
 
@@ -158,8 +171,7 @@ std::optional<std::string> DiskCache::load(const CacheKey& key,
   }
   if (accept && !accept(payload)) return miss();
 
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  hit_counter.add();
+  hitCounter().add();
   // Refresh the LRU position; failure is harmless (entry just ages).
   std::error_code ec;
   fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
@@ -167,8 +179,6 @@ std::optional<std::string> DiskCache::load(const CacheKey& key,
 }
 
 void DiskCache::store(const CacheKey& key, std::string_view payload) {
-  static obs::Counter& store_counter = obs::Registry::global().counter("cache.disk.stores");
-
   const std::lock_guard<std::mutex> lock(mu_);
   if (config_.dir.empty()) return;
 
@@ -202,15 +212,11 @@ void DiskCache::store(const CacheKey& key, std::string_view payload) {
     fs::remove(tmp, ec);
     return;
   }
-  stores_.fetch_add(1, std::memory_order_relaxed);
-  store_counter.add();
+  storeCounter().add();
   evictOverflow();
 }
 
 void DiskCache::evictOverflow() {
-  static obs::Counter& evict_counter =
-      obs::Registry::global().counter("cache.disk.evictions");
-
   std::error_code ec;
   std::vector<std::pair<fs::file_time_type, fs::path>> entries;
   for (const fs::directory_entry& entry : fs::directory_iterator(schemaDir(), ec)) {
@@ -222,10 +228,7 @@ void DiskCache::evictOverflow() {
   std::sort(entries.begin(), entries.end());
   const std::size_t excess = entries.size() - config_.max_entries;
   for (std::size_t i = 0; i < excess; ++i) {
-    if (fs::remove(entries[i].second, ec)) {
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      evict_counter.add();
-    }
+    if (fs::remove(entries[i].second, ec)) evictionCounter().add();
   }
 }
 
@@ -235,6 +238,11 @@ void DiskCache::invalidateAll() {
   std::error_code ec;
   fs::remove_all(schemaDir(), ec);
 }
+
+std::uint64_t DiskCache::hits() { return hitCounter().value(); }
+std::uint64_t DiskCache::misses() { return missCounter().value(); }
+std::uint64_t DiskCache::stores() { return storeCounter().value(); }
+std::uint64_t DiskCache::evictions() { return evictionCounter().value(); }
 
 std::size_t DiskCache::entryCount() const {
   const std::lock_guard<std::mutex> lock(mu_);

@@ -17,13 +17,13 @@
 // `max_entries` the least-recently-used entries are evicted (hits
 // refresh an entry's mtime).
 //
-// Traffic is mirrored into the obs metrics registry as
-// cache.disk.{hits,misses,stores,evictions}, so --stats/--metrics/
-// --report see disk-cache behavior the same way they see the in-memory
-// ComponentCache.
+// Traffic is counted only in the obs metrics registry, as the unlabeled
+// cache.disk.{hits,misses,stores,evictions} counters; hits(), misses(),
+// stores() and evictions() read them, so they count for every DiskCache
+// of the process, and --metrics, --report and `serve stats` see the
+// same numbers.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -125,16 +125,11 @@ class DiskCache {
   /// call while other threads load/store — they observe misses.
   void invalidateAll();
 
-  [[nodiscard]] std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t stores() const {
-    return stores_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  /// Traffic of the whole process (the cache.disk.* counters).
+  [[nodiscard]] static std::uint64_t hits();
+  [[nodiscard]] static std::uint64_t misses();
+  [[nodiscard]] static std::uint64_t stores();
+  [[nodiscard]] static std::uint64_t evictions();
 
   /// Number of entries currently on disk (test/diagnostic helper).
   [[nodiscard]] std::size_t entryCount() const;
@@ -151,10 +146,6 @@ class DiskCache {
 
   mutable std::mutex mu_;
   DiskCacheConfig config_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> stores_{0};
-  std::atomic<std::uint64_t> evictions_{0};
 };
 
 }  // namespace fsdep::corpus

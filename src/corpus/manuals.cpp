@@ -141,12 +141,4 @@ const std::vector<ManualEntry>& allManualsStorage() {
 
 std::vector<ManualEntry> allManuals() { return allManualsStorage(); }
 
-std::vector<ManualEntry> manualFor(std::string_view component) {
-  std::vector<ManualEntry> out;
-  for (const ManualEntry& entry : allManualsStorage()) {
-    if (entry.claim.param.starts_with(std::string(component) + ".")) out.push_back(entry);
-  }
-  return out;
-}
-
 }  // namespace fsdep::corpus

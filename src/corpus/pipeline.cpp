@@ -1,5 +1,6 @@
 #include "corpus/pipeline.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <optional>
@@ -80,13 +81,13 @@ AnalyzedComponent::AnalyzedComponent(std::string name,
     obs::Span span("pipeline", "component-get");
     if (use_cache) {
       bool built = false;
-      entry_ = ComponentCache::global().get(name, taint_options, &built);
+      entry_ = ComponentCache::global().get(name, &built);
       if (built) {
         reg().counter("pipeline.parse_ns", {{"component", name}, {"mode", "cached"}})
             .add(entry_->parse_ns);
       }
     } else {
-      entry_ = ComponentCache::build(name, taint_options);
+      entry_ = ComponentCache::build(name);
       reg().counter("pipeline.parse_ns", {{"component", name}, {"mode", "fresh"}})
           .add(entry_->parse_ns);
     }
@@ -261,43 +262,27 @@ Table5Result runTable5(const taint::AnalysisOptions& taint_options,
   return result;
 }
 
-PipelineStats pipelineStatsSnapshot() {
+std::string formatPipelineStats() {
   const obs::Registry& registry = reg();
-  PipelineStats stats;
-  stats.parse_ns = registry.counterSum("pipeline.parse_ns");
-  stats.analyze_ns = registry.counterSum("pipeline.analyze_ns");
-  stats.extract_ns = registry.counterSum("pipeline.extract_ns");
-  stats.components_analyzed = registry.counterSum("pipeline.components_analyzed");
-  stats.merge_calls = registry.counterSum("pipeline.merge_calls");
-  stats.merge_grew = registry.counterSum("pipeline.merge_grew");
-  stats.cache_hits = ComponentCache::global().hits();
-  stats.cache_misses = ComponentCache::global().misses();
-  stats.jobs = static_cast<std::size_t>(registry.gaugeValue("pipeline.jobs"));
-  if (stats.jobs == 0) stats.jobs = 1;  // snapshot before any run
-  return stats;
-}
-
-void resetPipelineStats() {
-  // Zeroes the pipeline's own series only: cache traffic (like the
-  // ComponentCache contents themselves) survives a stats reset.
-  reg().reset("pipeline.");
-  reg().gauge("pipeline.jobs").set(1);
-}
-
-std::string PipelineStats::format() const {
-  const auto ms = [](std::uint64_t ns) { return static_cast<double>(ns) / 1e6; };
+  const auto sum = [&registry](std::string_view name) {
+    return static_cast<unsigned long long>(registry.counterSum(name));
+  };
+  const auto ms = [&sum](std::string_view name) { return static_cast<double>(sum(name)) / 1e6; };
+  // The worker count of the most recent run; 1 before any run.
+  const unsigned long long jobs = std::max<std::uint64_t>(registry.gaugeValue("pipeline.jobs"), 1);
+  const unsigned long long merge_calls = sum("pipeline.merge_calls");
+  const unsigned long long merge_grew = sum("pipeline.merge_grew");
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "pipeline stats: jobs=%zu\n"
+                "pipeline stats: jobs=%llu\n"
                 "  parse    %9.2f ms  (cache: %llu hits, %llu misses)\n"
                 "  analyze  %9.2f ms  (%llu component runs)\n"
                 "  extract  %9.2f ms\n"
                 "  merges   %llu calls, %llu grew (%.1f%% productive)\n",
-                jobs, ms(parse_ns), static_cast<unsigned long long>(cache_hits),
-                static_cast<unsigned long long>(cache_misses), ms(analyze_ns),
-                static_cast<unsigned long long>(components_analyzed), ms(extract_ns),
-                static_cast<unsigned long long>(merge_calls),
-                static_cast<unsigned long long>(merge_grew),
+                jobs, ms("pipeline.parse_ns"),
+                sum("cache.hits"), sum("cache.misses"), ms("pipeline.analyze_ns"),
+                sum("pipeline.components_analyzed"), ms("pipeline.extract_ns"), merge_calls,
+                merge_grew,
                 merge_calls > 0
                     ? 100.0 * static_cast<double>(merge_grew) / static_cast<double>(merge_calls)
                     : 0.0);

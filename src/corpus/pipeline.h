@@ -98,30 +98,12 @@ CacheKey scenarioCacheKey(const Scenario& scenario,
                           const taint::AnalysisOptions& taint_options,
                           const extract::ExtractOptions& extract_options);
 
-/// Cumulative perf counters of every pipeline run in this process
-/// (parse/analyze/extract wall time, fixpoint merges, cache traffic).
-/// A text-format view over the obs metrics registry's "pipeline.*" and
-/// "cache.*" series (see src/obs/metrics.h) — all storage is relaxed
-/// atomics in the registry, so concurrent runs, snapshots and resets
-/// never tear. Snapshot with pipelineStatsSnapshot(); the CLI prints
-/// the (byte-stable) text rendering under --stats, and the full labeled
-/// series under --metrics.
-struct PipelineStats {
-  std::uint64_t parse_ns = 0;
-  std::uint64_t analyze_ns = 0;
-  std::uint64_t extract_ns = 0;
-  std::uint64_t components_analyzed = 0;
-  std::uint64_t merge_calls = 0;
-  std::uint64_t merge_grew = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::size_t jobs = 0;  ///< worker count of the most recent run
-
-  [[nodiscard]] std::string format() const;
-};
-
-PipelineStats pipelineStatsSnapshot();
-void resetPipelineStats();
+/// The `--stats` text: cumulative pipeline counters of this process
+/// (parse/analyze/extract wall time, component runs, fixpoint merges,
+/// component-cache traffic), rendered from the metrics registry's
+/// pipeline.* and cache.* series with counterSum and gaugeValue, so it
+/// always agrees with --metrics and --report.
+std::string formatPipelineStats();
 
 /// Runs scenarios (parse + analyze + extract), unscored, and returns each
 /// one's dependencies in the order given. Extraction options come from

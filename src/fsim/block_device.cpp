@@ -59,12 +59,6 @@ struct BlockRange {
   [[nodiscard]] bool contains(std::uint32_t block) const {
     return first <= block && block <= last;
   }
-  /// The lowest block of `blocks` inside the range, if any.
-  [[nodiscard]] std::optional<std::uint32_t> firstOf(const std::set<std::uint32_t>& blocks) const {
-    const auto it = blocks.lower_bound(first);
-    if (it == blocks.end() || *it > last) return std::nullopt;
-    return *it;
-  }
 };
 
 }  // namespace
@@ -161,9 +155,6 @@ void BlockDevice::attemptWrite(std::uint64_t offset, std::span<const std::uint8_
       }
     }
   }
-  if (const std::optional<std::uint32_t> bad = range.firstOf(bad_write_blocks_)) {
-    throw IoError("injected write error at block " + std::to_string(*bad));
-  }
   copyIn(offset, data);
   ++writes_;
   ++plan_write_index_;
@@ -182,18 +173,14 @@ void BlockDevice::attemptRead(std::uint64_t offset, std::span<std::uint8_t> out)
       }
     }
   }
-  if (const std::optional<std::uint32_t> bad = range.firstOf(bad_read_blocks_)) {
-    throw IoError("injected read error at block " + std::to_string(*bad));
-  }
   copyOut(offset, out);
   ++reads_;
   readsCounter().add();
 }
 
-void BlockDevice::noteRetry(std::uint32_t attempt) const {
+void BlockDevice::noteRetry() const {
   ++retries_;
   retriesCounter().add();
-  backoff_ticks_ += static_cast<std::uint64_t>(retry_policy_.backoff_base) << (attempt - 1);
 }
 
 void BlockDevice::readRetrying(std::uint64_t offset, std::span<std::uint8_t> out) const {
@@ -202,8 +189,8 @@ void BlockDevice::readRetrying(std::uint64_t offset, std::span<std::uint8_t> out
       attemptRead(offset, out);
       return;
     } catch (const IoError&) {
-      if (frozen_ || attempt >= retry_policy_.max_attempts) throw;
-      noteRetry(attempt);
+      if (frozen_ || attempt >= kMaxAttempts) throw;
+      noteRetry();
     }
   }
 }
@@ -214,8 +201,8 @@ void BlockDevice::writeRetrying(std::uint64_t offset, std::span<const std::uint8
       attemptWrite(offset, data);
       return;
     } catch (const IoError&) {
-      if (frozen_ || dead_ || attempt >= retry_policy_.max_attempts) throw;
-      noteRetry(attempt);
+      if (frozen_ || dead_ || attempt >= kMaxAttempts) throw;
+      noteRetry();
     }
   }
 }
@@ -279,8 +266,6 @@ void BlockDevice::setFaultPlan(FaultPlan plan) {
 }
 
 void BlockDevice::clearFaults() {
-  bad_read_blocks_.clear();
-  bad_write_blocks_.clear();
   plan_.reset();
   frozen_ = false;
   dead_ = false;
@@ -291,7 +276,6 @@ void BlockDevice::resetStats() {
   reads_ = 0;
   writes_ = 0;
   retries_ = 0;
-  backoff_ticks_ = 0;
 }
 
 }  // namespace fsdep::fsim

@@ -11,9 +11,7 @@
 // fault and counter below behaves as on a zero-filled medium.
 //
 // Fault model
-//   - Legacy per-block faults (injectReadError / injectWriteError) are
-//     sticky: the block fails forever until clearFaults().
-//   - A FaultPlan is a deterministic schedule installed with
+//   - A FaultPlan is the one fault schedule, installed with
 //     setFaultPlan(). Every run is replayable from the (plan, seed)
 //     pair: the same plan on the same operation sequence produces the
 //     same failure at the same write index.
@@ -24,20 +22,20 @@
 //         lost power mid-write.
 //       * fail_after_writes models device death: once N writes have
 //         persisted, all later writes fail permanently.
-//       * transients model recoverable media errors: an access to the
-//         faulted block fails `failures` times, then succeeds.
-//   - A RetryPolicy gives the device bounded retry-with-backoff at the
-//     block layer (the way a kernel retries transient media errors).
-//     Backoff is simulated deterministically: ticks accumulate in a
-//     counter instead of sleeping. Crash-frozen and dead devices are
-//     never retried.
+//       * transients model media errors: an access to the faulted block
+//         fails `failures` times, then succeeds. A fault with `failures`
+//         UINT32_MAX is a bad block that fails until clearFaults().
+//   - The device retries a failed access at the block layer, the way a
+//     kernel retries transient media errors: at most kMaxAttempts
+//     attempts per access, so a transient with fewer failures is
+//     absorbed and one with more surfaces. Crash-frozen and dead
+//     devices are never retried.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -77,14 +75,11 @@ struct FaultPlan {
   std::vector<TransientFault> transients;
 };
 
-/// Bounded retry with (simulated) exponential backoff.
-struct RetryPolicy {
-  std::uint32_t max_attempts = 3;  ///< 1 = no retry
-  std::uint32_t backoff_base = 1;  ///< ticks; doubled on every retry
-};
-
 class BlockDevice {
  public:
+  /// Attempts per access before a fault surfaces as an IoError.
+  static constexpr std::uint32_t kMaxAttempts = 3;
+
   BlockDevice(std::uint32_t block_count, std::uint32_t block_size);
 
   [[nodiscard]] std::uint32_t blockCount() const { return block_count_; }
@@ -109,46 +104,36 @@ class BlockDevice {
   void resize(std::uint32_t new_block_count);
 
   // --- Fault injection ---------------------------------------------
-  /// Any read of `block` fails with IoError.
-  void injectReadError(std::uint32_t block) { bad_read_blocks_.insert(block); }
-  /// Any write to `block` fails with IoError.
-  void injectWriteError(std::uint32_t block) { bad_write_blocks_.insert(block); }
   /// Flips one byte in `block` (silent corruption).
   void corruptBlock(std::uint32_t block, std::uint32_t byte_offset);
 
   /// Installs a deterministic fault schedule; replaces any previous one
   /// and restarts the plan-relative write index at zero.
   void setFaultPlan(FaultPlan plan);
-  [[nodiscard]] bool hasFaultPlan() const { return plan_.has_value(); }
   /// True once a crash fault fired; every access throws until
   /// clearFaults().
   [[nodiscard]] bool frozen() const { return frozen_; }
-  /// Removes all faults: legacy bad blocks, the fault plan, and the
-  /// frozen/dead latches. Statistics are NOT touched (see resetStats).
+  /// Removes all faults: the fault plan and the frozen/dead latches.
+  /// Statistics are NOT touched (see resetStats).
   void clearFaults();
-
-  void setRetryPolicy(RetryPolicy policy) { retry_policy_ = policy; }
-  [[nodiscard]] const RetryPolicy& retryPolicy() const { return retry_policy_; }
 
   // --- Statistics ---------------------------------------------------
   [[nodiscard]] std::uint64_t readCount() const { return reads_; }
   [[nodiscard]] std::uint64_t writeCount() const { return writes_; }
-  /// Failed attempts that were retried by the retry policy.
+  /// Failed attempts that were retried.
   [[nodiscard]] std::uint64_t retryCount() const { return retries_; }
-  /// Simulated backoff accumulated across all retries.
-  [[nodiscard]] std::uint64_t backoffTicks() const { return backoff_ticks_; }
   /// Persisted writes since the current fault plan was installed.
   [[nodiscard]] std::uint64_t planWriteIndex() const { return plan_write_index_; }
-  /// Zeroes the read/write/retry/backoff counters so callers can observe
-  /// a single operation. Fault state is unaffected.
+  /// Zeroes the read/write/retry counters so callers can observe a
+  /// single operation. Fault state is unaffected.
   void resetStats();
 
  private:
   void checkRange(std::uint32_t block) const;
-  /// The access under the retry policy; throws once it gives up.
+  /// The access, retried up to kMaxAttempts; throws once it gives up.
   void readRetrying(std::uint64_t offset, std::span<std::uint8_t> out) const;
   void writeRetrying(std::uint64_t offset, std::span<const std::uint8_t> data);
-  void noteRetry(std::uint32_t attempt) const;
+  void noteRetry() const;
   /// One attempt with the fault checks of every block in the range;
   /// throws on any fault before a byte moves (a crash's torn prefix
   /// aside).
@@ -174,17 +159,13 @@ class BlockDevice {
   /// The block table, up to the highest chunk written; a chunk is null
   /// until a block in it is written. A shrink frees the blocks it cuts off.
   std::vector<std::unique_ptr<Chunk>> chunks_;
-  std::set<std::uint32_t> bad_read_blocks_;
-  std::set<std::uint32_t> bad_write_blocks_;
   mutable std::optional<FaultPlan> plan_;  // transients decay in place
-  RetryPolicy retry_policy_;
   bool frozen_ = false;
   bool dead_ = false;
   std::uint64_t plan_write_index_ = 0;
   mutable std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   mutable std::uint64_t retries_ = 0;
-  mutable std::uint64_t backoff_ticks_ = 0;
 };
 
 }  // namespace fsdep::fsim

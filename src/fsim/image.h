@@ -23,7 +23,6 @@ class Bitmap {
 
   [[nodiscard]] bool get(std::uint32_t bit) const;
   void set(std::uint32_t bit, bool value);
-  [[nodiscard]] std::uint32_t bitCount() const { return count_; }
   [[nodiscard]] std::uint32_t countSet(std::uint32_t limit) const;
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return bits_; }
 

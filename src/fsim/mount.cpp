@@ -9,7 +9,11 @@ namespace fsdep::fsim {
 std::vector<std::string> MountTool::validateSuperblock(const Superblock& sb) {
   std::vector<std::string> problems;
   if (sb.magic != kExt4Magic) problems.push_back("bad magic number");
-  if (sb.log_block_size > 6) problems.push_back("s_log_block_size out of range");
+  if (sb.log_block_size > 6) {
+    // Every size check below shifts by log_block_size (blockSize()).
+    problems.push_back("s_log_block_size out of range");
+    return problems;
+  }
   if (sb.inode_size < 128 || sb.inode_size > 4096) {
     problems.push_back("s_inode_size out of range");
   }

@@ -18,15 +18,6 @@ DepLevel depLevelOf(DepKind kind) {
   return DepLevel::SelfDependency;
 }
 
-const char* depLevelName(DepLevel level) {
-  switch (level) {
-    case DepLevel::SelfDependency: return "self-dependency";
-    case DepLevel::CrossParameter: return "cross-parameter-dependency";
-    case DepLevel::CrossComponent: return "cross-component-dependency";
-  }
-  return "unknown";
-}
-
 const char* depLevelShortName(DepLevel level) {
   switch (level) {
     case DepLevel::SelfDependency: return "SD";

@@ -35,7 +35,6 @@ enum class DepKind : std::uint8_t {
 };
 
 DepLevel depLevelOf(DepKind kind);
-const char* depLevelName(DepLevel level);
 const char* depLevelShortName(DepLevel level);  // "SD" / "CPD" / "CCD"
 const char* depKindName(DepKind kind);
 std::optional<DepKind> depKindFromName(std::string_view name);

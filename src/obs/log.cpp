@@ -69,8 +69,6 @@ void setLogLevel(LogLevel level) {
   detail::g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-void setLogJson(bool json) { g_log_json.store(json, std::memory_order_relaxed); }
-
 std::string formatLogLine(LogLevel level, const char* component, const char* message,
                           bool json, unsigned long long ts_ms) {
   std::string line;

@@ -35,9 +35,6 @@ LogLevel parseLogLevel(const char* text, LogLevel fallback);
 LogLevel logLevel();
 void setLogLevel(LogLevel level);
 
-/// true = JSON lines, false = human text.
-void setLogJson(bool json);
-
 [[nodiscard]] inline bool logEnabled(LogLevel level) {
   return static_cast<int>(level) >= detail::g_log_level.load(std::memory_order_relaxed);
 }

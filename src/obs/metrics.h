@@ -7,10 +7,11 @@
 // reference (function-local static or member). Handles stay valid for
 // the process lifetime — instruments are never destroyed, only zeroed.
 //
-// This replaces the hand-rolled PipelineStats globals: the pipeline's
-// counters now live here, `--stats` renders a byte-compatible text
-// snapshot from them, and `--metrics out.json` dumps the whole registry
-// as JSON. Reset is per-prefix so concurrent subsystems do not clobber
+// The registry is the only place a count lives: `--stats`, `serve
+// stats`, the report facts and the cache accessors all read it, and
+// `--metrics out.json` dumps it as JSON. A name is either one unlabeled
+// counter or a labeled family, never both, so counterSum(name) is its
+// total. Reset is per-prefix so concurrent subsystems do not clobber
 // each other's series.
 #pragma once
 

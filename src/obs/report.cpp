@@ -20,7 +20,6 @@ void RunReport::setCommand(std::string command, std::vector<std::string> args) {
 void RunReport::setJobs(std::uint64_t jobs) { jobs_ = jobs; }
 void RunReport::setWallMillis(double wall_ms) { wall_ms_ = wall_ms; }
 void RunReport::setExitCode(int code) { exit_code_ = code; }
-void RunReport::setTraceDropped(std::uint64_t dropped) { trace_dropped_ = dropped; }
 
 void RunReport::note(const std::string& key, std::uint64_t value) {
   for (Fact& fact : facts_) {
@@ -58,7 +57,9 @@ std::string RunReport::renderJson() const {
   w.field("jobs", jobs_);
   w.field("wall_ms", wall_ms_);
   w.field("exit_code", static_cast<std::int64_t>(exit_code_));
-  w.field("trace_dropped_events", trace_dropped_);
+  // Trace-buffer saturation (Trace::droppedEvents()); non-zero means
+  // the trace and the profile under-attribute.
+  w.field("trace_dropped_events", Registry::global().counterValue("trace.dropped_events"));
   w.key("facts");
   w.beginObject();
   for (const Fact& fact : facts_) {
@@ -94,7 +95,6 @@ void RunReport::clear() {
   jobs_ = 0;
   wall_ms_ = 0;
   exit_code_ = 0;
-  trace_dropped_ = 0;
   facts_.clear();
 }
 

@@ -24,9 +24,6 @@ class RunReport {
   void setJobs(std::uint64_t jobs);
   void setWallMillis(double wall_ms);
   void setExitCode(int code);
-  /// Trace-buffer saturation for the run (Trace::droppedEvents()); a
-  /// non-zero value means the trace/profile under-attributes.
-  void setTraceDropped(std::uint64_t dropped);
 
   /// Flat command-specific extras, rendered under "facts" in insertion
   /// order. Duplicate keys overwrite.
@@ -53,7 +50,6 @@ class RunReport {
   std::uint64_t jobs_ = 0;
   double wall_ms_ = 0;
   int exit_code_ = 0;
-  std::uint64_t trace_dropped_ = 0;
   std::vector<Fact> facts_;
 };
 

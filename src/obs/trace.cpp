@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 
@@ -17,7 +16,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::atomic<std::uint64_t> g_dropped{0};
 std::atomic<std::size_t> g_buffer_limit{std::size_t{1} << 18};
 
 /// One thread's event buffer. The owning thread appends under `mu`
@@ -40,6 +38,13 @@ struct TraceState {
 TraceState& state() {
   static TraceState s;
   return s;
+}
+
+/// The one count of dropped events: droppedEvents(), the profile and
+/// the report all read it.
+Counter& droppedCounter() {
+  static Counter& c = Registry::global().counter("trace.dropped_events");
+  return c;
 }
 
 ThreadBuffer& localBuffer() {
@@ -111,7 +116,7 @@ void Trace::start() {
     }
     s.epoch = Clock::now();
   }
-  g_dropped.store(0, std::memory_order_relaxed);
+  droppedCounter().reset();
   enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -127,14 +132,6 @@ std::vector<TraceEvent> Trace::stopEvents() {
 
 std::string Trace::render(const std::vector<TraceEvent>& events) { return renderTrace(events); }
 
-bool Trace::stopToFile(const std::string& path) {
-  const std::string text = stop();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 std::uint64_t Trace::nowMicros() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - state().epoch)
@@ -147,15 +144,13 @@ void Trace::emit(TraceEvent event) {
   event.tid = buffer.tid;
   const std::lock_guard<std::mutex> lock(buffer.mu);
   if (buffer.events.size() >= g_buffer_limit.load(std::memory_order_relaxed)) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    static Counter& dropped_counter = Registry::global().counter("trace.dropped_events");
-    dropped_counter.add();
+    droppedCounter().add();
     return;
   }
   buffer.events.push_back(std::move(event));
 }
 
-std::uint64_t Trace::droppedEvents() { return g_dropped.load(std::memory_order_relaxed); }
+std::uint64_t Trace::droppedEvents() { return droppedCounter().value(); }
 
 std::size_t Trace::bufferLimit() { return g_buffer_limit.load(std::memory_order_relaxed); }
 

@@ -18,9 +18,10 @@
 // reconstructs span nesting per tid from (ts, dur).
 //
 // Buffers are bounded (bufferLimit() events per thread). Overflowing
-// events are dropped — and counted, both in droppedEvents() and in the
-// "trace.dropped_events" registry counter, so saturation is visible in
-// --metrics and --report instead of silently truncating the profile.
+// events are dropped — and counted in the "trace.dropped_events"
+// registry counter, which droppedEvents(), the profile and --report all
+// read, so saturation is visible instead of silently truncating the
+// profile.
 #pragma once
 
 #include <atomic>
@@ -76,10 +77,6 @@ class Trace {
   /// feed both --trace and --profile.
   static std::string render(const std::vector<TraceEvent>& events);
 
-  /// stop() + write to `path`. Returns false when the file cannot be
-  /// written (the trace text is lost; callers log and carry on).
-  static bool stopToFile(const std::string& path);
-
   /// Microseconds since start() on the steady clock.
   static std::uint64_t nowMicros();
 
@@ -94,7 +91,8 @@ class Trace {
   /// Test hook; production code uses stop().
   static std::vector<TraceEvent> snapshot();
 
-  /// Events dropped since start() because a thread's buffer was full.
+  /// Events dropped since start() because a thread's buffer was full:
+  /// the "trace.dropped_events" counter, which start() zeroes.
   static std::uint64_t droppedEvents();
 
   /// Per-thread buffer bound, in events. The default (1<<18 per thread,

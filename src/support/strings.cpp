@@ -35,10 +35,6 @@ std::string joinStrings(const std::vector<std::string>& pieces, std::string_view
   return out;
 }
 
-bool containsString(std::string_view haystack, std::string_view needle) {
-  return haystack.find(needle) != std::string_view::npos;
-}
-
 std::optional<std::int64_t> parseInt64(std::string_view text) {
   text = trimString(text);
   if (text.empty()) return std::nullopt;
@@ -68,12 +64,6 @@ std::optional<std::int64_t> parseInt64(std::string_view text) {
     value = value * base + digit;
   }
   return negative ? -value : value;
-}
-
-std::string toLowerString(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
 }
 
 std::string formatWithCommas(std::int64_t value) {

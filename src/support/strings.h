@@ -35,15 +35,9 @@ std::string_view trimString(std::string_view text);
 /// Joins pieces with a separator.
 std::string joinStrings(const std::vector<std::string>& pieces, std::string_view sep);
 
-/// Case-sensitive containment test for readability at call sites.
-bool containsString(std::string_view haystack, std::string_view needle);
-
 /// Parses a signed 64-bit integer in base 10/16/8 (C literal rules).
 /// Returns nullopt on any malformed input or overflow.
 std::optional<std::int64_t> parseInt64(std::string_view text);
-
-/// Lowercases ASCII.
-std::string toLowerString(std::string_view text);
 
 /// printf-free number formatting with thousands separators, for tables.
 std::string formatWithCommas(std::int64_t value);

@@ -126,9 +126,6 @@ class Analyzer {
   /// strings on this path.
   [[nodiscard]] std::map<std::string, LabelSet> fieldWrites() const;
 
-  /// The "record.field" <-> id interner of this analyzer.
-  [[nodiscard]] const FieldKeyTable& fieldKeys() const { return field_keys_; }
-
   /// All tainted writes, in deterministic (source) order.
   [[nodiscard]] std::vector<const WriteEvent*> writeEvents() const;
 
@@ -236,8 +233,8 @@ class Analyzer {
                   const ast::Expr* rhs, const char* fallback);
   /// Appends (object, loc, text) to the object's trace unless present.
   /// Traces and write events keep the views, so `object` must be a
-  /// memoized name (varNameFor, fieldKeys()) and `text` a memo entry or
-  /// a seed binding's text.
+  /// memoized name (varNameFor, or a key of field_keys_) and `text` a
+  /// memo entry or a seed binding's text.
   void recordTrace(std::string_view object, SourceLoc loc, std::string_view text);
   void recordWrite(const ast::Expr& assign, std::string_view object, bool is_field,
                    const LabelSet& labels, const ast::Expr* rhs, SourceLoc loc,

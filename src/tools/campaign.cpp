@@ -396,6 +396,15 @@ CrashCanary plantCampaignCanary(BlockDevice& device) {
   return canary;
 }
 
+/// The set-up of every op but mkfs: format under the configuration, then
+/// plant the canary. A configuration mkfs refuses fails the set-up; the
+/// op would otherwise run on a blank device and be classified as a crash.
+Result<CrashCanary> formatAndPlantCanary(BlockDevice& device, const GeneratedConfig& config) {
+  const Result<Superblock> formatted = MkfsTool::format(device, config.mkfs);
+  if (!formatted.ok()) return makeError("set-up refused: " + formatted.error().message);
+  return plantCampaignCanary(device);
+}
+
 void runConfigResize(BlockDevice& device, const GeneratedConfig& config, bool fix) {
   ResizeOptions options;
   options.new_size_blocks = resizeTargetFor(config);
@@ -405,8 +414,9 @@ void runConfigResize(BlockDevice& device, const GeneratedConfig& config, bool fi
 
 struct CampaignOpSpec {
   const char* name;
-  /// Fault-free preparation; returns the canary (if any).
-  CrashCanary (*setup)(BlockDevice&, const GeneratedConfig&);
+  /// Fault-free preparation; returns the canary (if any), or the error
+  /// that refused it.
+  Result<CrashCanary> (*setup)(BlockDevice&, const GeneratedConfig&);
   /// The operation whose writes are enumerated. Structured errors are
   /// expected (and ignored) once a fault fires.
   void (*run)(BlockDevice&, const GeneratedConfig&);
@@ -415,13 +425,10 @@ struct CampaignOpSpec {
 const std::vector<CampaignOpSpec>& campaignOpSpecs() {
   static const std::vector<CampaignOpSpec> specs = {
       {"mkfs",
-       [](BlockDevice&, const GeneratedConfig&) { return CrashCanary{}; },
+       [](BlockDevice&, const GeneratedConfig&) -> Result<CrashCanary> { return CrashCanary{}; },
        [](BlockDevice& d, const GeneratedConfig& c) { (void)MkfsTool::format(d, c.mkfs); }},
       {"mount",
-       [](BlockDevice& d, const GeneratedConfig& c) {
-         (void)MkfsTool::format(d, c.mkfs);
-         return plantCampaignCanary(d);
-       },
+       formatAndPlantCanary,
        [](BlockDevice& d, const GeneratedConfig& c) {
          // One full journal-commit cycle: mount dirties the journal,
          // the file write mutates metadata, unmount commits.
@@ -431,22 +438,13 @@ const std::vector<CampaignOpSpec>& campaignOpSpecs() {
          mounted.value().unmount();
        }},
       {"resize",
-       [](BlockDevice& d, const GeneratedConfig& c) {
-         (void)MkfsTool::format(d, c.mkfs);
-         return plantCampaignCanary(d);
-       },
+       formatAndPlantCanary,
        [](BlockDevice& d, const GeneratedConfig& c) { runConfigResize(d, c, /*fix=*/true); }},
       {"resize-buggy",
-       [](BlockDevice& d, const GeneratedConfig& c) {
-         (void)MkfsTool::format(d, c.mkfs);
-         return plantCampaignCanary(d);
-       },
+       formatAndPlantCanary,
        [](BlockDevice& d, const GeneratedConfig& c) { runConfigResize(d, c, /*fix=*/false); }},
       {"defrag",
-       [](BlockDevice& d, const GeneratedConfig& c) {
-         (void)MkfsTool::format(d, c.mkfs);
-         return plantCampaignCanary(d);
-       },
+       formatAndPlantCanary,
        [](BlockDevice& d, const GeneratedConfig& c) {
          Result<MountedFs> mounted = MountTool::mount(d, c.mount);
          if (!mounted.ok()) return;
@@ -454,10 +452,7 @@ const std::vector<CampaignOpSpec>& campaignOpSpecs() {
          mounted.value().unmount();
        }},
       {"tune",
-       [](BlockDevice& d, const GeneratedConfig& c) {
-         (void)MkfsTool::format(d, c.mkfs);
-         return plantCampaignCanary(d);
-       },
+       formatAndPlantCanary,
        [](BlockDevice& d, const GeneratedConfig& c) { (void)TuneTool::tune(d, c.tune); }},
   };
   return specs;
@@ -496,8 +491,9 @@ Result<std::uint64_t> opWriteCount(const GeneratedConfig& config, const std::str
   const CampaignOpSpec* spec = findCampaignSpec(op);
   if (spec == nullptr) return makeError("unknown operation '" + op + "'");
   BlockDevice device(deviceBlocksFor(config), deviceBlockSizeFor(config));
+  const Result<CrashCanary> setup = spec->setup(device, config);
+  if (!setup.ok()) return makeError(setup.error().message);
   try {
-    (void)spec->setup(device, config);
     device.resetStats();
     spec->run(device, config);
   } catch (const IoError&) {
@@ -517,7 +513,9 @@ Result<CellOutcome> runCampaignCell(const GeneratedConfig& config, const std::st
   CrashCanary canary;
   {
     obs::Span stage("campaign", "cell-setup");
-    canary = spec->setup(device, config);
+    Result<CrashCanary> setup = spec->setup(device, config);
+    if (!setup.ok()) return makeError(setup.error().message);
+    canary = setup.value();
   }
   {
     obs::Span stage("campaign", "cell-op");
@@ -666,13 +664,16 @@ Result<CampaignReport> runMatrixCampaign(const CampaignOptions& options,
   registry.gauge("campaign.configs").set(n_configs);
 
   // Phase 1 (parallel): fault-free write counts per (config, op); each
-  // op's crash points are exactly 0 .. writes-1.
+  // op's crash points are exactly 0 .. writes-1. A (config, op) whose
+  // set-up is refused counts 0 writes: it gets only its control cell,
+  // which fails with the set-up's error.
   std::vector<std::uint64_t> writes(n_configs * n_ops, 0);
   ThreadPool::parallelFor(n_configs * n_ops, options.jobs, [&](std::size_t i) {
     obs::Span plan_span("campaign", "plan-op");
     const std::string& op = report.ops[i % n_ops];
     plan_span.arg("op", op);
-    writes[i] = opWriteCount(report.configs[i / n_ops].config, op).value();
+    const Result<std::uint64_t> count = opWriteCount(report.configs[i / n_ops].config, op);
+    writes[i] = count.ok() ? count.value() : 0;
   });
 
   // Phase 2 (serial): schedule generation. Serial on purpose — the RNG
@@ -701,8 +702,8 @@ Result<CampaignReport> runMatrixCampaign(const CampaignOptions& options,
         push({FaultEvent{FaultEventKind::CrashAtWrite, index, 0, 0}});
 
       // Double faults: a transient media error racing the crash. The
-      // failure count straddles the device retry bound (3 attempts), so
-      // some transients are absorbed by retry and some surface.
+      // failure count is one below, at or one above the device's retry
+      // bound, so some transients are absorbed by retry and some surface.
       if (total > 0) {
         for (std::size_t j = 0; j < options.max_double_faults; ++j) {
           FaultEvent transient;
@@ -710,7 +711,7 @@ Result<CampaignReport> runMatrixCampaign(const CampaignOptions& options,
               j % 2 == 0 ? FaultEventKind::TransientWrite : FaultEventKind::TransientRead;
           transient.block =
               1 + rng.pick(std::min<std::uint32_t>(deviceBlocksFor(config) - 1, 255));
-          transient.failures = 2 + rng.pick(3);
+          transient.failures = BlockDevice::kMaxAttempts - 1 + rng.pick(3);
           FaultEvent crash;
           crash.kind = FaultEventKind::CrashAtWrite;
           crash.write_index = rng.pick(static_cast<std::uint32_t>(total));

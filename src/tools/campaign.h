@@ -85,7 +85,8 @@ std::vector<std::string> campaignOpNames();
 
 /// Persisted writes of the op's fault-free run under `config`. A fault
 /// plan's write index counts exactly these, so the op's crash points
-/// are 0 .. count-1. Errors (unknown op) are structured.
+/// are 0 .. count-1. Errors (unknown op, a set-up mkfs refuses) are
+/// structured.
 Result<std::uint64_t> opWriteCount(const GeneratedConfig& config, const std::string& op);
 
 struct CampaignCell {
@@ -103,8 +104,9 @@ struct CellOutcome {
 /// Runs one (config, op, schedule) cell on a fresh device: fault-free
 /// setup, install the compiled schedule, run the op, reboot, classify
 /// (classifyPostCrashImage) and digest the post-recovery state.
-/// Deterministic in (config, op, schedule, seed). Errors (unknown op)
-/// are structured; exceptions escape only for harness bugs.
+/// Deterministic in (config, op, schedule, seed). Errors (unknown op, a
+/// set-up mkfs refuses) are structured; exceptions escape only for
+/// harness bugs.
 Result<CellOutcome> runCampaignCell(const GeneratedConfig& config, const std::string& op,
                                     const FaultSchedule& schedule, std::uint64_t seed);
 

@@ -818,12 +818,14 @@ CommandResult cmdServe(const Options& options, const CommandContext& context) {
   std::fflush(stdout);
   daemon.wait();
   daemon.stop();
+  const obs::Registry& registry = obs::Registry::global();
+  const std::uint64_t requests = registry.counterSum("serve.requests");
   CommandResult result;
   appendf(result.out, "fsdep serve: shut down after %llu request(s)\n",
-          static_cast<unsigned long long>(daemon.requestsServed()));
-  result.facts["serve_requests"] = daemon.requestsServed();
-  result.facts["serve_memo_hits"] = daemon.memoHits();
-  result.facts["serve_errors"] = daemon.errors();
+          static_cast<unsigned long long>(requests));
+  result.facts["serve_requests"] = requests;
+  result.facts["serve_memo_hits"] = registry.counterSum("serve.memo_hits");
+  result.facts["serve_errors"] = registry.counterSum("serve.errors");
   return result;
 }
 

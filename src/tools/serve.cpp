@@ -137,7 +137,6 @@ void ServeDaemon::handleConnection(int fd) {
 }
 
 std::string ServeDaemon::handleLine(const std::string& line) {
-  static obs::Counter& request_counter = obs::Registry::global().counter("serve.requests");
   static obs::Counter& error_counter = obs::Registry::global().counter("serve.errors");
   static obs::Counter& memo_counter = obs::Registry::global().counter("serve.memo_hits");
   static obs::Histogram& wall_histogram = obs::Registry::global().histogram(
@@ -145,27 +144,31 @@ std::string ServeDaemon::handleLine(const std::string& line) {
       {100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 500000});
 
   const auto start = Clock::now();
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  request_counter.add();
-
   json::Object response;
   Result<json::Value> parsed = json::parse(line);
+  const json::Object* request =
+      parsed.ok() && parsed.value().isObject() ? &parsed.value().asObject() : nullptr;
   std::string type;
-  if (!parsed.ok() || !parsed.value().isObject()) {
+  if (request != nullptr) {
+    const json::Value* type_field = request->find("type");
+    if (type_field != nullptr && type_field->isString()) type = type_field->asString();
+  }
+  // Every line counts once, under its type: "" for a line that does not
+  // parse or names none. It counts before dispatch, so a `stats` answer
+  // includes the request asking for it.
+  obs::Registry::global().counter("serve.requests", {{"type", type}}).add();
+
+  if (request == nullptr) {
     response["ok"] = false;
     response["error"] =
         "malformed request: " + (parsed.ok() ? "not an object" : parsed.error().message);
   } else {
-    const json::Object& request = parsed.value().asObject();
-    const json::Value* id = request.find("id");
+    const json::Value* id = request->find("id");
     if (id != nullptr) response["id"] = *id;
-    const json::Value* type_field = request.find("type");
-    type = type_field != nullptr && type_field->isString() ? type_field->asString() : "";
     obs::Span span("serve", "request");
     span.arg("type", type);
-    obs::Registry::global().counter("serve.requests", {{"type", type}}).add();
     try {
-      dispatch(type, request, response);
+      dispatch(type, *request, response);
     } catch (const std::exception& e) {
       response["ok"] = false;
       response["error"] = std::string(e.what());
@@ -173,13 +176,8 @@ std::string ServeDaemon::handleLine(const std::string& line) {
   }
 
   if (!response.contains("ok")) response["ok"] = true;
-  const bool ok = response.find("ok")->asBool();
-  if (!ok) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    error_counter.add();
-  }
+  if (!response.find("ok")->asBool()) error_counter.add();
   if (response.find("cached") != nullptr && response.find("cached")->asBool()) {
-    memo_hits_.fetch_add(1, std::memory_order_relaxed);
     memo_counter.add();
   }
   const std::uint64_t wall_us = static_cast<std::uint64_t>(
@@ -209,18 +207,19 @@ void ServeDaemon::dispatch(const std::string& type, const json::Object& request,
   }
 
   if (type == "stats") {
-    const corpus::DiskCache& disk = corpus::DiskCache::global();
+    // Every number is the registry's, for the whole process.
+    const obs::Registry& registry = obs::Registry::global();
     json::Object stats;
-    stats["requests"] = requests_.load(std::memory_order_relaxed);
-    stats["memo_hits"] = memo_hits_.load(std::memory_order_relaxed);
-    stats["errors"] = errors_.load(std::memory_order_relaxed);
-    stats["component_cache_hits"] = corpus::ComponentCache::global().hits();
-    stats["component_cache_misses"] = corpus::ComponentCache::global().misses();
-    stats["component_cache_build_failures"] = corpus::ComponentCache::global().buildFailures();
-    stats["disk_cache_enabled"] = disk.enabled();
-    stats["disk_cache_hits"] = disk.hits();
-    stats["disk_cache_misses"] = disk.misses();
-    stats["disk_cache_stores"] = disk.stores();
+    stats["requests"] = registry.counterSum("serve.requests");
+    stats["memo_hits"] = registry.counterSum("serve.memo_hits");
+    stats["errors"] = registry.counterSum("serve.errors");
+    stats["component_cache_hits"] = corpus::ComponentCache::hits();
+    stats["component_cache_misses"] = corpus::ComponentCache::misses();
+    stats["component_cache_build_failures"] = corpus::ComponentCache::buildFailures();
+    stats["disk_cache_enabled"] = corpus::DiskCache::global().enabled();
+    stats["disk_cache_hits"] = corpus::DiskCache::hits();
+    stats["disk_cache_misses"] = corpus::DiskCache::misses();
+    stats["disk_cache_stores"] = corpus::DiskCache::stores();
     out["ok"] = true;
     out["stdout"] = json::writeCompact(json::Value(std::move(stats)));
     return;
@@ -323,7 +322,8 @@ void ServeDaemon::stop() {
   }
   ::unlink(options_.socket_path.c_str());
   FSDEP_LOG_INFO("serve", "stopped after %llu request(s)",
-                 static_cast<unsigned long long>(requests_.load(std::memory_order_relaxed)));
+                 static_cast<unsigned long long>(
+                     obs::Registry::global().counterSum("serve.requests")));
 }
 
 Result<std::string> serveRoundTrip(const std::string& socket_path, const std::string& line) {

@@ -16,6 +16,11 @@
 // unknown or wrong-typed field gets {"ok":false,"error":...} naming it.
 // ping, stats, invalidate and shutdown are serve-only (docs/serve.md).
 //
+// Counts: each request adds to the registry's serve.requests{type}, and
+// to the unlabeled serve.memo_hits and serve.errors when it is one. The
+// `stats` answer, the shutdown log line and the `serve` command's
+// report facts all read those series, for the whole process.
+//
 // Concurrency: every connection gets its own handler thread (the global
 // ThreadPool is NOT used for connections — parallelFor inside a request
 // drains the pool, and a long-lived connection job would deadlock it);
@@ -84,14 +89,6 @@ class ServeDaemon {
   /// without sockets.
   std::string handleLine(const std::string& line);
 
-  [[nodiscard]] std::uint64_t requestsServed() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t memoHits() const {
-    return memo_hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t errors() const { return errors_.load(std::memory_order_relaxed); }
-
  private:
   void acceptLoop();
   void handleConnection(int fd);
@@ -116,10 +113,6 @@ class ServeDaemon {
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
-
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> memo_hits_{0};
-  std::atomic<std::uint64_t> errors_{0};
 };
 
 /// One decoded daemon response.

@@ -55,18 +55,26 @@ json::Value firstCommittedRepro() {
 TEST(CampaignCorpus, ReplayedSizesNearTwoToTheThirtySecondGiveStructuredOutcomes) {
   // Both sizes come from the replayed file. The device is sized in 64
   // bits and allocates only what the tools write, and the tools refuse
-  // the geometry: a 2^31-block resize target and a 2^32 - 1 block mkfs.
-  for (const auto& [section, key, value] :
-       {std::tuple{"", "resize_target", std::uint64_t{0x80000000u}},
-        std::tuple{"mkfs", "size_blocks", std::uint64_t{0xFFFFFFFFu}}}) {
-    json::Value doc = firstCommittedRepro();
-    json::Object& config = doc.asObject()["config"].asObject();
-    json::Object& fields = *section == '\0' ? config : config[section].asObject();
-    fields[key] = value;
-    const Result<ReplayCase> replayed = replayCorpusDocument(doc, key);
-    ASSERT_TRUE(replayed.ok()) << key << ": " << replayed.error().message;
-    EXPECT_FALSE(replayed.value().detail.empty()) << key;
-  }
+  // the geometry. resize refuses a 2^31-block target inside the op under
+  // test, so the replay classifies an outcome.
+  json::Value doc = firstCommittedRepro();
+  doc.asObject()["config"].asObject()["resize_target"] = std::uint64_t{0x80000000u};
+  const Result<ReplayCase> resized = replayCorpusDocument(doc, "resize_target.json");
+  ASSERT_TRUE(resized.ok()) << resized.error().message;
+  EXPECT_FALSE(resized.value().detail.empty());
+
+  // mkfs refuses a 2^32 - 1 block file system in the set-up: the op
+  // never runs, and the replay reports the file and mkfs's error instead
+  // of an outcome of an op run on a blank device.
+  doc = firstCommittedRepro();
+  doc.asObject()["config"].asObject()["mkfs"].asObject()["size_blocks"] =
+      std::uint64_t{0xFFFFFFFFu};
+  const Result<ReplayCase> formatted = replayCorpusDocument(doc, "size_blocks.json");
+  ASSERT_FALSE(formatted.ok()) << "replayed as " << crashOutcomeName(formatted.value().replayed);
+  EXPECT_EQ(formatted.error().message.rfind("size_blocks.json: ", 0), 0u)
+      << formatted.error().message;
+  EXPECT_NE(formatted.error().message.find("mkfs: too many block groups"), std::string::npos)
+      << formatted.error().message;
 }
 
 TEST(CampaignCorpus, ReplayRejectsAValueThatDoesNotFitItsField) {

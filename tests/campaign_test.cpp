@@ -195,6 +195,27 @@ TEST(CellTest, UnknownOpIsAStructuredError) {
   EXPECT_FALSE(result.ok());
 }
 
+// A configuration mkfs refuses fails every op's set-up: the op would
+// otherwise run on a blank device and be classified as a crash outcome.
+// The mkfs op has no set-up; its refusal is the op under test.
+TEST(CellTest, RefusedSetUpIsAStructuredErrorNotAnOutcome) {
+  GeneratedConfig config = baselineConfig();
+  config.mkfs.size_blocks = 0xFFFFFFFFu;
+  for (const std::string& op : campaignOpNames()) {
+    const Result<CellOutcome> cell = runCampaignCell(config, op, {}, 42);
+    const Result<std::uint64_t> writes = opWriteCount(config, op);
+    if (op == "mkfs") {
+      EXPECT_TRUE(cell.ok()) << cell.error().message;
+      EXPECT_TRUE(writes.ok()) << writes.error().message;
+      continue;
+    }
+    ASSERT_FALSE(cell.ok()) << op << " classified as " << crashOutcomeName(cell.value().outcome);
+    EXPECT_NE(cell.error().message.find("mkfs: too many block groups"), std::string::npos)
+        << op << ": " << cell.error().message;
+    EXPECT_FALSE(writes.ok()) << op;
+  }
+}
+
 TEST(CellTest, ControlCellOfBuggyResizeOnSparse2IsSilentCorruption) {
   GeneratedConfig config = baselineConfig();
   config.mkfs.sparse_super2 = true;

@@ -1,7 +1,8 @@
 // End-to-end checks of the CLI observability flags, driving the real
 // fsdep binary (FSDEP_CLI_PATH, injected by CMake): --trace / --metrics
 // / --report produce valid JSON files, instrumentation never perturbs
-// stdout, and --stats keeps stdout machine-parseable.
+// stdout, --stats keeps stdout machine-parseable, and every instrument
+// reports the same counts.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -215,16 +216,141 @@ TEST(CliObs, ProfileSubcommandWrapsAnyCommand) {
   EXPECT_LT(deps_pos, prof_pos);
 }
 
+/// The numbers --stats prints (stderr of one run).
+struct StatsText {
+  std::string parse_ms;
+  std::string analyze_ms;
+  std::string extract_ms;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t component_runs = 0;
+};
+
+StatsText parseStatsText(const std::string& text) {
+  StatsText stats;
+  unsigned long long jobs = 0;
+  unsigned long long hits = 0;
+  unsigned long long misses = 0;
+  unsigned long long runs = 0;
+  char parse_ms[32] = {};
+  char analyze_ms[32] = {};
+  char extract_ms[32] = {};
+  const std::size_t at = text.find("pipeline stats: ");
+  EXPECT_NE(at, std::string::npos) << text;
+  const int fields = std::sscanf(text.c_str() + (at == std::string::npos ? 0 : at),
+                                 "pipeline stats: jobs=%llu\n"
+                                 "  parse %31s ms  (cache: %llu hits, %llu misses)\n"
+                                 "  analyze %31s ms  (%llu component runs)\n"
+                                 "  extract %31s ms\n",
+                                 &jobs, parse_ms, &hits, &misses, analyze_ms, &runs, extract_ms);
+  EXPECT_EQ(fields, 7) << text;
+  stats.parse_ms = parse_ms;
+  stats.analyze_ms = analyze_ms;
+  stats.extract_ms = extract_ms;
+  stats.hits = hits;
+  stats.misses = misses;
+  stats.component_runs = runs;
+  return stats;
+}
+
+/// Sum of every series of counter `name` in a registry dump.
+std::uint64_t counterSum(const json::Value& metrics, const std::string& name) {
+  std::uint64_t total = 0;
+  for (const json::Value& c : metrics.asObject().find("counters")->asArray()) {
+    const json::Object& counter = c.asObject();
+    if (counter.find("name")->asString() == name) {
+      total += static_cast<std::uint64_t>(counter.find("value")->asInt());
+    }
+  }
+  return total;
+}
+
+/// A nanosecond sum as --stats prints it.
+std::string statsMillis(std::uint64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.2f", static_cast<double>(ns) / 1e6);
+  return buf;
+}
+
+/// Number of `category/name` spans in a JSON profile tree.
+std::uint64_t spanCount(const json::Object& node, const std::string& category,
+                        const std::string& name) {
+  std::uint64_t count = 0;
+  if (const json::Value* c = node.find("category"); c != nullptr && c->asString() == category &&
+                                                    node.find("name")->asString() == name) {
+    count += static_cast<std::uint64_t>(node.find("count")->asInt());
+  }
+  for (const json::Value& child : node.find("children")->asArray()) {
+    count += spanCount(child.asObject(), category, name);
+  }
+  return count;
+}
+
+// ROADMAP's observability aim: a count lives in one registry series, and
+// --stats, --metrics, --report and the profile all read it there. Each
+// command runs once with every instrument on and no disk cache.
+TEST(CliObs, EveryInstrumentReportsTheSameCounts) {
+  unsetenv("FSDEP_CACHE_DIR");
+  const std::string stats_path = tempPath("cli_obs_same_stats.txt");
+  const std::string metrics_path = tempPath("cli_obs_same_metrics.json");
+  const std::string report_path = tempPath("cli_obs_same_report.json");
+  const std::string profile_path = tempPath("cli_obs_same_profile.json");
+  for (const std::string command :
+       {"table5 --intra", "extract --json --inter", "ablation", "amplify --factor 5"}) {
+    SCOPED_TRACE(command);
+    runCli(command + " --stats --metrics " + metrics_path + " --report " + report_path +
+               " --profile " + profile_path + " --profile-format json",
+           stats_path);
+    const StatsText stats = parseStatsText(slurp(stats_path));
+    const json::Value metrics = parseOrFail(slurp(metrics_path), "metrics file");
+    const json::Value report = parseOrFail(slurp(report_path), "report file");
+    const json::Value profile = parseOrFail(slurp(profile_path), "profile");
+    const json::Value& report_metrics = *report.asObject().find("metrics");
+
+    for (const json::Value* dump : {&metrics, &report_metrics}) {
+      EXPECT_EQ(stats.hits, counterSum(*dump, "cache.hits"));
+      EXPECT_EQ(stats.misses, counterSum(*dump, "cache.misses"));
+    }
+    EXPECT_EQ(stats.component_runs, counterSum(metrics, "pipeline.components_analyzed"));
+    const json::Object& tree = profile.asObject().find("root")->asObject();
+    EXPECT_EQ(stats.component_runs, spanCount(tree, "pipeline", "analyze"));
+    EXPECT_EQ(stats.misses, spanCount(tree, "pipeline", "parse"));
+    EXPECT_GT(stats.component_runs, 0u);
+    EXPECT_EQ(stats.parse_ms, statsMillis(counterSum(metrics, "pipeline.parse_ns")));
+    EXPECT_EQ(stats.analyze_ms, statsMillis(counterSum(metrics, "pipeline.analyze_ns")));
+    EXPECT_EQ(stats.extract_ms, statsMillis(counterSum(metrics, "pipeline.extract_ns")));
+
+    const std::uint64_t dropped = counterSum(metrics, "trace.dropped_events");
+    EXPECT_EQ(static_cast<std::uint64_t>(report.asObject().find("trace_dropped_events")->asInt()),
+              dropped);
+    EXPECT_EQ(static_cast<std::uint64_t>(profile.asObject().find("dropped_events")->asInt()),
+              dropped);
+
+    // A name is either one total or a labeled family, never both: a sum
+    // over a name that had both would count every event twice.
+    std::set<std::string> labeled;
+    std::set<std::string> unlabeled;
+    for (const json::Value& c : metrics.asObject().find("counters")->asArray()) {
+      const json::Object& counter = c.asObject();
+      const bool has_labels = !counter.find("labels")->asObject().empty();
+      (has_labels ? labeled : unlabeled).insert(counter.find("name")->asString());
+    }
+    for (const std::string& name : labeled) {
+      EXPECT_EQ(unlabeled.count(name), 0u) << name << " is both labeled and unlabeled";
+    }
+  }
+}
+
 TEST(CliObs, CacheAttributionSurvivesHoistedLabeledCounters) {
   // The per-component labeled cache counters moved out of the cache
   // mutex (serve hot-path fix); the attribution itself must not change:
-  // the labeled per-component series still sum to the unlabeled totals.
+  // the per-component series sum to the hits and misses --stats prints.
   const std::string metrics = tempPath("cli_obs_cache_attr_metrics.json");
-  runCli("table5 --jobs 4 --metrics " + metrics);
+  const std::string stats_path = tempPath("cli_obs_cache_attr_stats.txt");
+  runCli("table5 --jobs 4 --stats --metrics " + metrics, stats_path);
+  const StatsText stats = parseStatsText(slurp(stats_path));
   const json::Value doc = parseOrFail(slurp(metrics), "metrics file");
 
-  std::uint64_t total_hits = 0;
-  std::uint64_t total_misses = 0;
   std::uint64_t labeled_hits = 0;
   std::uint64_t labeled_misses = 0;
   std::set<std::string> miss_components;
@@ -233,20 +359,15 @@ TEST(CliObs, CacheAttributionSurvivesHoistedLabeledCounters) {
     const std::string& name = counter.find("name")->asString();
     if (name != "cache.hits" && name != "cache.misses") continue;
     const json::Object& labels = counter.find("labels")->asObject();
-    const std::uint64_t value =
-        static_cast<std::uint64_t>(counter.find("value")->asInt());
-    if (labels.empty()) {
-      (name == "cache.hits" ? total_hits : total_misses) += value;
-    } else {
-      ASSERT_TRUE(labels.contains("component")) << name;
-      (name == "cache.hits" ? labeled_hits : labeled_misses) += value;
-      if (name == "cache.misses") miss_components.insert(labels.find("component")->asString());
-    }
+    ASSERT_TRUE(labels.contains("component")) << name;
+    const std::uint64_t value = static_cast<std::uint64_t>(counter.find("value")->asInt());
+    (name == "cache.hits" ? labeled_hits : labeled_misses) += value;
+    if (name == "cache.misses") miss_components.insert(labels.find("component")->asString());
   }
-  EXPECT_EQ(labeled_hits, total_hits) << "per-component hit attribution drifted";
-  EXPECT_EQ(labeled_misses, total_misses) << "per-component miss attribution drifted";
+  EXPECT_EQ(labeled_hits, stats.hits) << "per-component hit attribution drifted";
+  EXPECT_EQ(labeled_misses, stats.misses) << "per-component miss attribution drifted";
   EXPECT_GE(miss_components.size(), 2u) << "table5 parses several components";
-  EXPECT_GT(total_hits + total_misses, 0u);
+  EXPECT_GT(stats.hits + stats.misses, 0u);
 }
 
 TEST(CliObs, DiskCacheCountersAppearInMetricsAndStdoutStaysIdentical) {

@@ -224,7 +224,7 @@ TEST(CrashCk, DoubleFaultScheduleClassifiesDeterministically) {
   tools::FaultEvent transient;
   transient.kind = tools::FaultEventKind::TransientWrite;
   transient.block = 2;
-  transient.failures = 4;  // beyond the retry policy: the fault surfaces
+  transient.failures = 4;  // beyond the retry bound: the fault surfaces
   const tools::FaultSchedule schedule = {crash, transient};
 
   const auto a = tools::runCampaignCell(tools::baselineConfig(), "mount", schedule, 42);

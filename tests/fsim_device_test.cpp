@@ -1,11 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "fsim/block_device.h"
 #include "fsim/image.h"
 #include "fsim/layout.h"
 
 namespace fsdep::fsim {
 namespace {
+
+/// A bad block: a transient that outlasts every retry until clearFaults().
+TransientFault badBlock(std::uint32_t block, bool on_write) {
+  return TransientFault{.block = block, .failures = UINT32_MAX, .on_write = on_write};
+}
+
+/// A plan with only the given bad blocks.
+FaultPlan badBlocks(std::vector<TransientFault> faults) {
+  FaultPlan plan;
+  plan.transients = std::move(faults);
+  return plan;
+}
 
 TEST(BlockDevice, ReadWriteRoundTrip) {
   BlockDevice dev(16, 1024);
@@ -44,8 +58,7 @@ TEST(BlockDevice, ByteAccess) {
 TEST(BlockDevice, FaultInjection) {
   BlockDevice dev(8, 1024);
   std::vector<std::uint8_t> buf(1024);
-  dev.injectReadError(2);
-  dev.injectWriteError(3);
+  dev.setFaultPlan(badBlocks({badBlock(2, /*on_write=*/false), badBlock(3, /*on_write=*/true)}));
   EXPECT_THROW(dev.readBlock(2, buf), IoError);
   EXPECT_THROW(dev.writeBlock(3, buf), IoError);
   dev.clearFaults();
@@ -167,7 +180,7 @@ TEST(BlockDevice, FailAfterWritesKillsDevice) {
   dev.writeBlock(0, buf);
   dev.writeBlock(1, buf);
   EXPECT_THROW(dev.writeBlock(2, buf), IoError);
-  // Dead is permanent — the retry policy must not resurrect it.
+  // Dead is permanent — retrying must not resurrect it.
   EXPECT_THROW(dev.writeBlock(2, buf), IoError);
   // Reads still work: the device stopped accepting writes, not reads.
   EXPECT_NO_THROW(dev.readBlock(0, buf));
@@ -181,10 +194,9 @@ TEST(BlockDevice, TransientErrorClearsUnderRetry) {
   FaultPlan plan;
   plan.transients.push_back(TransientFault{.block = 3, .failures = 2, .on_write = true});
   dev.setFaultPlan(plan);
-  // Default policy allows 3 attempts; the fault clears after 2 failures.
+  // kMaxAttempts (3) attempts; the fault clears after 2 failures.
   EXPECT_NO_THROW(dev.writeBlock(3, buf));
   EXPECT_EQ(dev.retryCount(), 2u);
-  EXPECT_GT(dev.backoffTicks(), 0u);
   EXPECT_EQ(dev.writeCount(), 1u);
 }
 
@@ -194,13 +206,13 @@ TEST(BlockDevice, TransientOutlastingRetryBudgetFails) {
   FaultPlan plan;
   plan.transients.push_back(TransientFault{.block = 3, .failures = 5, .on_write = true});
   dev.setFaultPlan(plan);
-  dev.setRetryPolicy(RetryPolicy{.max_attempts = 3, .backoff_base = 2});
+  static_assert(BlockDevice::kMaxAttempts == 3);
   EXPECT_THROW(dev.writeBlock(3, buf), IoError);
   EXPECT_EQ(dev.retryCount(), 2u);  // attempts 1 and 2 were retried
-  EXPECT_EQ(dev.backoffTicks(), 2u + 4u);
-  // Two failures remain; a wider budget gets through them.
-  dev.setRetryPolicy(RetryPolicy{.max_attempts = 4, .backoff_base = 1});
+  EXPECT_EQ(dev.writeCount(), 0u);
+  // Two failures remain, inside the next access's three attempts.
   EXPECT_NO_THROW(dev.writeBlock(3, buf));
+  EXPECT_EQ(dev.retryCount(), 4u);
 }
 
 TEST(BlockDevice, TransientReadFaults) {
@@ -231,12 +243,11 @@ TEST(BlockDevice, ResetStatsKeepsFaults) {
   std::vector<std::uint8_t> buf(1024, 5);
   dev.writeBlock(0, buf);
   dev.readBlock(0, buf);
-  dev.injectWriteError(4);
+  dev.setFaultPlan(badBlocks({badBlock(4, /*on_write=*/true)}));
   dev.resetStats();
   EXPECT_EQ(dev.readCount(), 0u);
   EXPECT_EQ(dev.writeCount(), 0u);
   EXPECT_EQ(dev.retryCount(), 0u);
-  EXPECT_EQ(dev.backoffTicks(), 0u);
   // resetStats observes, clearFaults heals — they are independent.
   EXPECT_THROW(dev.writeBlock(4, buf), IoError);
 }
@@ -313,13 +324,13 @@ TEST(BlockDevice, ByteRangeChecksFaultsOnEveryBlock) {
   std::vector<std::uint8_t> buf(1024, 0x11);
   {
     BlockDevice dev(8, 512);
-    dev.injectReadError(3);
+    dev.setFaultPlan(badBlocks({badBlock(3, /*on_write=*/false)}));
     EXPECT_THROW(dev.readBytes(1024, buf), IoError);  // blocks 2 and 3
     EXPECT_EQ(dev.readCount(), 0u);
   }
   {
     BlockDevice dev(8, 512);
-    dev.injectWriteError(3);
+    dev.setFaultPlan(badBlocks({badBlock(3, /*on_write=*/true)}));
     EXPECT_THROW(dev.writeBytes(1024, buf), IoError);
     EXPECT_EQ(dev.writeCount(), 0u);
     std::vector<std::uint8_t> in(512, 0xAB);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "fsim/fsck.h"
 #include "fsim/mkfs.h"
 #include "fsim/mount.h"
@@ -177,7 +179,10 @@ TEST(Fsck, MediaErrorReportedAsCorruption) {
   FsImage image(dev);
   const Superblock sb = image.loadSuperblock();
   const GroupDesc gd = image.loadGroupDesc(sb, 1);
-  dev.injectReadError(gd.block_bitmap);
+  FaultPlan plan;  // a bad block: it fails every attempt
+  plan.transients.push_back(
+      TransientFault{.block = gd.block_bitmap, .failures = UINT32_MAX, .on_write = false});
+  dev.setFaultPlan(plan);
   const auto report = FsckTool::check(dev, FsckOptions{.force = true});
   ASSERT_TRUE(report.ok());
   bool unreadable = false;

@@ -114,6 +114,26 @@ TEST(Mount, RejectsGeometryWithoutGroupsOrBeyondTheDescriptorTable) {
   }
 }
 
+// 1024 << 40 is undefined: validation reports the field before any
+// size check shifts by it (the sanitizer build checks the shift).
+TEST(Mount, RejectsALogBlockSizeBeyondTheShiftWithoutShifting) {
+  BlockDevice dev = makeFs();
+  FsImage image(dev);
+  Superblock sb = image.loadSuperblock();
+  sb.log_block_size = 40;
+  sb.updateChecksum();
+  image.storeSuperblock(sb);
+  const auto mounted = MountTool::mount(dev, MountOptions{});
+  ASSERT_FALSE(mounted.ok());
+  EXPECT_NE(mounted.error().message.find("s_log_block_size out of range"), std::string::npos)
+      << mounted.error().message;
+  FsckOptions fsck;
+  for (const bool force : {false, true}) {
+    fsck.force = force;
+    EXPECT_FALSE(FsckTool::check(dev, fsck).ok()) << "force " << force;
+  }
+}
+
 TEST(Mount, OptionInteractionChecks) {
   BlockDevice dev = makeFs(nullptr, 4096);
   struct Case {

@@ -393,7 +393,7 @@ TEST(Trace, BoundedBuffersCountDrops) {
   Trace::setBufferLimit(saved_limit);
 
   // 4 events fit this thread's buffer; the 6 overflowing ones are
-  // dropped and counted, both locally and in the registry series.
+  // dropped and counted in the registry series droppedEvents() reads.
   EXPECT_EQ(events.size(), 4u);
   EXPECT_EQ(Trace::droppedEvents(), 6u);
   EXPECT_EQ(Registry::global().counterValue("trace.dropped_events"), 6u);
@@ -401,6 +401,7 @@ TEST(Trace, BoundedBuffersCountDrops) {
   // start() resets the drop count for the next collection.
   Trace::start();
   EXPECT_EQ(Trace::droppedEvents(), 0u);
+  EXPECT_EQ(Registry::global().counterValue("trace.dropped_events"), 0u);
   {
     Span span("test", "fits");
   }
@@ -416,7 +417,9 @@ TEST(Report, RendersStructuredRunReport) {
   report.setJobs(4);
   report.setWallMillis(12.5);
   report.setExitCode(0);
-  report.setTraceDropped(7);
+  // The report reads trace saturation from the registry's counter.
+  Registry::global().reset("trace.dropped_events");
+  Registry::global().counter("trace.dropped_events").add(7);
   report.note("unique_deps", std::uint64_t{64});
   report.note("outcome", "ok");
   report.note("unique_deps", std::uint64_t{65});  // overwrite, not duplicate
@@ -431,6 +434,7 @@ TEST(Report, RendersStructuredRunReport) {
   EXPECT_EQ(root.find("jobs")->asInt(), 4);
   EXPECT_DOUBLE_EQ(root.find("wall_ms")->asDouble(), 12.5);
   EXPECT_EQ(root.find("trace_dropped_events")->asInt(), 7);
+  Registry::global().reset("trace.dropped_events");
   const json::Object& facts = root.find("facts")->asObject();
   EXPECT_EQ(facts.size(), 2u);
   EXPECT_EQ(facts.find("unique_deps")->asInt(), 65);

@@ -12,6 +12,7 @@
 #include "corpus/pipeline.h"
 #include "json/json.h"
 #include "model/serialization.h"
+#include "obs/metrics.h"
 #include "support/thread_pool.h"
 
 namespace fsdep::corpus {
@@ -197,22 +198,34 @@ TEST(IrEquivalence, SerialEqualsParallelTimesThree) {
   }
 }
 
+// --stats renders the registry's pipeline.* series; a run adds to them
+// (read as deltas: every run of the process counts) and a registry
+// reset of the prefix zeroes them.
 TEST(PipelineStatsApi, CountersAccumulateAndReset) {
-  resetPipelineStats();
+  obs::Registry& registry = obs::Registry::global();
+  const auto sum = [&registry](const char* name) { return registry.counterSum(name); };
+  const std::uint64_t analyze_ns = sum("pipeline.analyze_ns");
+  const std::uint64_t components = sum("pipeline.components_analyzed");
+  const std::uint64_t merge_calls = sum("pipeline.merge_calls");
+  const std::uint64_t merge_grew = sum("pipeline.merge_grew");
   (void)runTable5({}, nullptr, {.jobs = 2});
-  const PipelineStats stats = pipelineStatsSnapshot();
-  EXPECT_GT(stats.analyze_ns, 0u);
-  EXPECT_GT(stats.components_analyzed, 0u);
-  EXPECT_GT(stats.merge_calls, 0u);
-  EXPECT_GE(stats.merge_calls, stats.merge_grew);
-  EXPECT_EQ(stats.jobs, 2u);
-  EXPECT_FALSE(stats.format().empty());
+  EXPECT_GT(sum("pipeline.analyze_ns"), analyze_ns);
+  EXPECT_GT(sum("pipeline.components_analyzed"), components);
+  EXPECT_GT(sum("pipeline.merge_calls"), merge_calls);
+  EXPECT_GE(sum("pipeline.merge_calls") - merge_calls, sum("pipeline.merge_grew") - merge_grew);
+  EXPECT_EQ(registry.gaugeValue("pipeline.jobs"), 2u);
+  const std::string text = formatPipelineStats();
+  EXPECT_EQ(text.rfind("pipeline stats: jobs=2\n", 0), 0u) << text;
+  EXPECT_NE(text.find("(" + std::to_string(sum("pipeline.components_analyzed")) +
+                      " component runs)"),
+            std::string::npos)
+      << text;
 
-  resetPipelineStats();
-  const PipelineStats zeroed = pipelineStatsSnapshot();
-  EXPECT_EQ(zeroed.analyze_ns, 0u);
-  EXPECT_EQ(zeroed.components_analyzed, 0u);
-  EXPECT_EQ(zeroed.merge_calls, 0u);
+  registry.reset("pipeline.");
+  EXPECT_EQ(sum("pipeline.analyze_ns"), 0u);
+  EXPECT_EQ(sum("pipeline.components_analyzed"), 0u);
+  EXPECT_EQ(sum("pipeline.merge_calls"), 0u);
+  EXPECT_NE(formatPipelineStats().find("(0 component runs)"), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // fsdep serve protocol tests: an in-process daemon on a temp socket,
 // driven through both the raw line handler and real socket round trips.
 // Byte-identity against the direct pipeline, memoized warm queries,
-// malformed-request tolerance, and clean shutdown.
+// malformed-request tolerance, a `stats` answer that is the registry's,
+// and clean shutdown.
 #include "tools/serve.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "extract/scoring.h"
 #include "json/json.h"
 #include "model/serialization.h"
+#include "obs/metrics.h"
 
 namespace fsdep::tools {
 namespace {
@@ -61,6 +63,9 @@ std::string directExtractText(const std::string& scenario_id) {
   return {};
 }
 
+/// The process-wide sum of one serve counter family.
+std::uint64_t servedTotal(const char* name) { return obs::Registry::global().counterSum(name); }
+
 TEST(ServeProtocol, PingAndUnknownTypeAndMalformedLine) {
   ServeDaemon daemon(ServeOptions{testSocketPath("proto")});
 
@@ -97,6 +102,7 @@ TEST(ServeProtocol, DeeplyNestedLineIsRejectedAndTheDaemonKeepsServing) {
 TEST(ServeProtocol, ExtractMatchesDirectPipelineByteForByte) {
   ServeDaemon daemon(ServeOptions{testSocketPath("extract")});
   const std::string expected = directExtractText("s1");
+  const std::uint64_t memo_hits = servedTotal("serve.memo_hits");
 
   json::Object cold =
       parseResponse(daemon.handleLine(R"({"type":"extract","scenario":"s1"})"));
@@ -109,7 +115,7 @@ TEST(ServeProtocol, ExtractMatchesDirectPipelineByteForByte) {
   ASSERT_TRUE(warm.find("ok")->asBool());
   EXPECT_EQ(warm.find("stdout")->asString(), expected) << "memoized answer must not drift";
   EXPECT_TRUE(warm.find("cached")->asBool());
-  EXPECT_EQ(daemon.memoHits(), 1u);
+  EXPECT_EQ(servedTotal("serve.memo_hits") - memo_hits, 1u);
 
   // A different option string is a different memo slot, not a stale hit.
   json::Object other = parseResponse(
@@ -121,6 +127,45 @@ TEST(ServeProtocol, ExtractMatchesDirectPipelineByteForByte) {
       parseResponse(daemon.handleLine(R"({"type":"extract","scenario":"s9"})"));
   EXPECT_FALSE(bad.find("ok")->asBool());
   EXPECT_NE(bad.find("error")->asString().find("unknown scenario"), std::string::npos);
+}
+
+// The `stats` answer reads the registry, and each request adds to
+// serve.requests exactly once: a line that does not parse counts under
+// type "".
+TEST(ServeProtocol, StatsAnswerIsTheRegistry) {
+  ServeDaemon daemon(ServeOptions{testSocketPath("stats")});
+  const std::uint64_t requests = servedTotal("serve.requests");
+  const std::uint64_t memo_hits = servedTotal("serve.memo_hits");
+  const std::uint64_t errors = servedTotal("serve.errors");
+  const std::uint64_t untyped =
+      obs::Registry::global().counterValue("serve.requests", {{"type", ""}});
+
+  EXPECT_TRUE(parseResponse(daemon.handleLine(R"({"type":"ping"})")).find("ok")->asBool());
+  for (int round = 0; round < 2; ++round) {  // the second is a memo hit
+    json::Object extract =
+        parseResponse(daemon.handleLine(R"({"type":"extract","scenario":"s2"})"));
+    ASSERT_TRUE(extract.find("ok")->asBool()) << errorOf(extract);
+    EXPECT_EQ(extract.find("cached")->asBool(), round == 1);
+  }
+  EXPECT_FALSE(parseResponse(daemon.handleLine("not json")).find("ok")->asBool());
+  EXPECT_FALSE(parseResponse(daemon.handleLine(R"({"type":"frobnicate"})")).find("ok")->asBool());
+
+  json::Object answer = parseResponse(daemon.handleLine(R"({"type":"stats"})"));
+  ASSERT_TRUE(answer.find("ok")->asBool()) << errorOf(answer);
+  const Result<json::Value> stats = json::parse(answer.find("stdout")->asString());
+  ASSERT_TRUE(stats.ok() && stats.value().isObject());
+  const json::Object& counts = stats.value().asObject();
+  EXPECT_EQ(static_cast<std::uint64_t>(counts.find("requests")->asInt()),
+            servedTotal("serve.requests"));
+  EXPECT_EQ(static_cast<std::uint64_t>(counts.find("memo_hits")->asInt()),
+            servedTotal("serve.memo_hits"));
+  EXPECT_EQ(static_cast<std::uint64_t>(counts.find("errors")->asInt()),
+            servedTotal("serve.errors"));
+  // Six requests, the `stats` one included; one memo hit; two errors.
+  EXPECT_EQ(servedTotal("serve.requests") - requests, 6u);
+  EXPECT_EQ(servedTotal("serve.memo_hits") - memo_hits, 1u);
+  EXPECT_EQ(servedTotal("serve.errors") - errors, 2u);
+  EXPECT_EQ(obs::Registry::global().counterValue("serve.requests", {{"type", ""}}) - untyped, 1u);
 }
 
 TEST(ServeProtocol, ExtractAnswersTheXfsAndBtrfsScenarios) {
