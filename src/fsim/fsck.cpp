@@ -28,12 +28,25 @@ Result<FsckReport> FsckTool::check(BlockDevice& device, const FsckOptions& optio
   }
 }
 
+namespace {
+
+Error geometryError(const Superblock& sb) {
+  return makeError("fsck: superblock geometry out of range (" + std::to_string(sb.blocks_count) +
+                   " blocks)");
+}
+
+}  // namespace
+
 Result<FsckReport> FsckTool::checkImpl(BlockDevice& device, const FsckOptions& options) {
   FsImage image(device);
-  Superblock sb =
-      options.backup_group == 0 ? image.loadSuperblock()
-                                : image.loadBackupSuperblock(options.backup_group);
-  if (options.backup_group != 0) coverPoint("fsck.backup_superblock");
+  Superblock sb = image.loadSuperblock();
+  if (options.backup_group != 0) {
+    // The backup's offset is a group start in the primary's blocks: a
+    // primary block size that shifts past 32 bits locates nothing.
+    if (sb.log_block_size > 6) return geometryError(sb);
+    sb = image.loadBackupSuperblock(options.backup_group);
+    coverPoint("fsck.backup_superblock");
+  }
 
   FsckReport report;
   auto note = [&](ProblemSeverity severity, std::string description) {
@@ -47,8 +60,7 @@ Result<FsckReport> FsckTool::checkImpl(BlockDevice& device, const FsckOptions& o
   // Every group read trusts the geometry: refuse one without groups or
   // with more than the descriptor table holds.
   if (sb.blocks_count <= sb.first_data_block || sb.groupCount() > sb.maxGroups()) {
-    return makeError("fsck: superblock geometry out of range (" +
-                     std::to_string(sb.blocks_count) + " blocks)");
+    return geometryError(sb);
   }
 
   if ((sb.state & kStateValid) != 0 && !options.force && !options.repair) {

@@ -118,6 +118,25 @@ json::Array faultScheduleToJson(const FaultSchedule& schedule) {
   return events;
 }
 
+namespace {
+
+/// Reads a non-negative integer into its field's type. A value that does
+/// not fit keeps `fallback` and records its key in `bad_key` (the first
+/// such key only); a missing or non-integer value keeps `fallback`.
+template <typename T>
+T readUint(const json::Object& obj, const char* key, T fallback, const char*& bad_key) {
+  const json::Value* v = obj.find(key);
+  if (v == nullptr || !v->isInt()) return fallback;
+  const std::int64_t n = v->asInt();
+  if (n >= 0 && static_cast<std::uint64_t>(n) <= std::numeric_limits<T>::max()) {
+    return static_cast<T>(n);
+  }
+  if (bad_key == nullptr) bad_key = key;
+  return fallback;
+}
+
+}  // namespace
+
 Result<FaultSchedule> faultScheduleFromJson(const json::Value& value) {
   if (!value.isArray()) return makeError("campaign: fault schedule must be a JSON array");
   FaultSchedule schedule;
@@ -132,12 +151,14 @@ Result<FaultSchedule> faultScheduleFromJson(const json::Value& value) {
       return makeError("campaign: unknown fault event kind '" + kind->asString() + "'");
     FaultEvent event;
     event.kind = *parsed;
-    if (const json::Value* v = obj.find("write_index"); v != nullptr && v->isInt())
-      event.write_index = static_cast<std::uint64_t>(v->asInt());
-    if (const json::Value* v = obj.find("block"); v != nullptr && v->isInt())
-      event.block = static_cast<std::uint32_t>(v->asInt());
-    if (const json::Value* v = obj.find("failures"); v != nullptr && v->isInt())
-      event.failures = static_cast<std::uint32_t>(v->asInt());
+    const char* bad_key = nullptr;
+    event.write_index = readUint(obj, "write_index", event.write_index, bad_key);
+    event.block = readUint(obj, "block", event.block, bad_key);
+    event.failures = readUint(obj, "failures", event.failures, bad_key);
+    if (bad_key != nullptr) {
+      return makeError(std::string("campaign: fault event value '") + bad_key +
+                       "' does not fit its field");
+    }
     schedule.push_back(event);
   }
   return schedule;
@@ -267,35 +288,22 @@ Result<GeneratedConfig> generatedConfigFromJson(const json::Value& value) {
   if (!value.isObject()) return makeError("campaign: config must be a JSON object");
   const json::Object& doc = value.asObject();
   GeneratedConfig config;
-  // Reads an integer into its field's type; bad_key keeps the first
-  // value that does not fit.
-  const char* bad_key = nullptr;
-  const auto readUint = [&bad_key]<typename T>(const json::Object& obj, const char* key,
-                                                T fallback) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->isInt()) return fallback;
-    const std::int64_t n = v->asInt();
-    if (n >= 0 && static_cast<std::uint64_t>(n) <= std::numeric_limits<T>::max()) {
-      return static_cast<T>(n);
-    }
-    if (bad_key == nullptr) bad_key = key;
-    return fallback;
-  };
+  const char* bad_key = nullptr;  // the first value that does not fit its field
   if (const json::Value* v = doc.find("mkfs"); v != nullptr && v->isObject()) {
     const json::Object& obj = v->asObject();
     MkfsOptions& m = config.mkfs;
-    m.size_blocks = readUint(obj, "size_blocks", m.size_blocks);
-    m.block_size = readUint(obj, "block_size", m.block_size);
-    m.inode_size = readUint(obj, "inode_size", m.inode_size);
-    m.inode_ratio = readUint(obj, "inode_ratio", m.inode_ratio);
-    m.reserved_ratio = readUint(obj, "reserved_ratio", m.reserved_ratio);
-    m.blocks_per_group = readUint(obj, "blocks_per_group", m.blocks_per_group);
+    m.size_blocks = readUint(obj, "size_blocks", m.size_blocks, bad_key);
+    m.block_size = readUint(obj, "block_size", m.block_size, bad_key);
+    m.inode_size = readUint(obj, "inode_size", m.inode_size, bad_key);
+    m.inode_ratio = readUint(obj, "inode_ratio", m.inode_ratio, bad_key);
+    m.reserved_ratio = readUint(obj, "reserved_ratio", m.reserved_ratio, bad_key);
+    m.blocks_per_group = readUint(obj, "blocks_per_group", m.blocks_per_group, bad_key);
     if (const json::Value* s = obj.find("label"); s != nullptr && s->isString())
       m.label = s->asString();
     m.sparse_super = readBool(obj, "sparse_super", m.sparse_super);
     m.sparse_super2 = readBool(obj, "sparse_super2", m.sparse_super2);
     m.resize_inode = readBool(obj, "resize_inode", m.resize_inode);
-    m.resize_limit_blocks = readUint(obj, "resize_limit_blocks", m.resize_limit_blocks);
+    m.resize_limit_blocks = readUint(obj, "resize_limit_blocks", m.resize_limit_blocks, bad_key);
     m.meta_bg = readBool(obj, "meta_bg", m.meta_bg);
     m.extents = readBool(obj, "extents", m.extents);
     m.has_64bit = readBool(obj, "has_64bit", m.has_64bit);
@@ -307,7 +315,7 @@ Result<GeneratedConfig> generatedConfigFromJson(const json::Value& value) {
     m.inline_data = readBool(obj, "inline_data", m.inline_data);
     m.encrypt = readBool(obj, "encrypt", m.encrypt);
     m.bigalloc = readBool(obj, "bigalloc", m.bigalloc);
-    m.cluster_size = readUint(obj, "cluster_size", m.cluster_size);
+    m.cluster_size = readUint(obj, "cluster_size", m.cluster_size, bad_key);
   }
   if (const json::Value* v = doc.find("mount"); v != nullptr && v->isObject()) {
     const json::Object& obj = v->asObject();
@@ -317,11 +325,11 @@ Result<GeneratedConfig> generatedConfigFromJson(const json::Value& value) {
     if (const json::Value* s = obj.find("data_mode"); s != nullptr && s->isString())
       m.data_mode = dataModeFromName(s->asString());
     m.noload = readBool(obj, "noload", m.noload);
-    m.commit_interval = readUint(obj, "commit_interval", m.commit_interval);
-    m.stripe = readUint(obj, "stripe", m.stripe);
-    m.inode_readahead_blks = readUint(obj, "inode_readahead_blks", m.inode_readahead_blks);
-    m.max_batch_time = readUint(obj, "max_batch_time", m.max_batch_time);
-    m.min_batch_time = readUint(obj, "min_batch_time", m.min_batch_time);
+    m.commit_interval = readUint(obj, "commit_interval", m.commit_interval, bad_key);
+    m.stripe = readUint(obj, "stripe", m.stripe, bad_key);
+    m.inode_readahead_blks = readUint(obj, "inode_readahead_blks", m.inode_readahead_blks, bad_key);
+    m.max_batch_time = readUint(obj, "max_batch_time", m.max_batch_time, bad_key);
+    m.min_batch_time = readUint(obj, "min_batch_time", m.min_batch_time, bad_key);
     m.journal_checksum = readBool(obj, "journal_checksum", m.journal_checksum);
     m.journal_async_commit = readBool(obj, "journal_async_commit", m.journal_async_commit);
     m.dioread_nolock = readBool(obj, "dioread_nolock", m.dioread_nolock);
@@ -342,13 +350,13 @@ Result<GeneratedConfig> generatedConfigFromJson(const json::Value& value) {
     if (const json::Value* b = obj.find("sparse_super2"); b != nullptr && b->isBool())
       t.sparse_super2 = b->asBool();
     if (const json::Value* n = obj.find("max_mount_count"); n != nullptr && n->isInt())
-      t.max_mount_count = readUint(obj, "max_mount_count", std::uint16_t{0});
+      t.max_mount_count = readUint(obj, "max_mount_count", std::uint16_t{0}, bad_key);
     if (const json::Value* n = obj.find("reserved_blocks_count"); n != nullptr && n->isInt())
-      t.reserved_blocks_count = readUint(obj, "reserved_blocks_count", std::uint32_t{0});
+      t.reserved_blocks_count = readUint(obj, "reserved_blocks_count", std::uint32_t{0}, bad_key);
     if (const json::Value* s = obj.find("label"); s != nullptr && s->isString())
       t.label = s->asString();
   }
-  config.resize_target = readUint(doc, "resize_target", config.resize_target);
+  config.resize_target = readUint(doc, "resize_target", config.resize_target, bad_key);
   if (bad_key != nullptr) {
     return makeError(std::string("campaign: config value '") + bad_key +
                      "' does not fit its field");
@@ -361,20 +369,6 @@ Result<GeneratedConfig> generatedConfigFromJson(const json::Value& value) {
 namespace {
 
 constexpr std::uint32_t kCanaryBytes = 6144;
-
-std::uint32_t deviceBlockSizeFor(const GeneratedConfig& config) {
-  const std::uint32_t bs = config.mkfs.block_size;
-  const bool pow2 = bs >= 512 && bs <= (1u << 16) && (bs & (bs - 1)) == 0;
-  return pow2 ? bs : 1024;
-}
-
-std::uint32_t deviceBlocksFor(const GeneratedConfig& config) {
-  // In 64 bits, clamped to a 32-bit block count: a replayed size may sit
-  // anywhere below 2^32.
-  const std::uint64_t fs = std::max(config.mkfs.size_blocks, config.resize_target);
-  return static_cast<std::uint32_t>(
-      std::clamp<std::uint64_t>(fs + 2048, 8192, std::numeric_limits<std::uint32_t>::max()));
-}
 
 std::uint32_t resizeTargetFor(const GeneratedConfig& config) {
   return config.resize_target != 0 ? config.resize_target : config.mkfs.size_blocks + 1024;
@@ -652,8 +646,6 @@ Result<CampaignReport> runMatrixCampaign(const CampaignOptions& options,
   }
 
   SamplingOptions sampling;
-  sampling.each_used_value = true;
-  sampling.pairwise = options.pairwise;
   sampling.max_configs = options.max_configs;
   report.configs = sampleConfigMatrix(sampling, deps);
   if (report.configs.empty()) return makeError("campaign: the configuration matrix is empty");
@@ -739,7 +731,7 @@ Result<CampaignReport> runMatrixCampaign(const CampaignOptions& options,
     const GeneratedConfig& config = report.configs[cell.config_index].config;
     CellResult result = runCellWithRetry(
         [&]() { return runCampaignCell(config, cell.op, cell.schedule, options.seed); },
-        options.cell_retries);
+        kCellRetries);
     registry.counter("campaign.cells", {{"op", cell.op}}).add();
     if (result.status == CellStatus::Done) {
       registry.counter("campaign.outcome", {{"outcome", outcomeKey(result.outcome)}}).add();
@@ -773,7 +765,7 @@ Result<CampaignReport> runMatrixCampaign(const CampaignOptions& options,
 
   // Phase 5 (serial): ddmin every unique failing class to a minimal
   // reproducer. Serial keeps probe counts deterministic.
-  if (options.minimize) {
+  {
     obs::Span minimize_span("campaign", "minimize");
     for (std::size_t i = 0; i < report.results.size(); ++i) {
       const CellResult& result = report.results[i];

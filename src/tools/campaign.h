@@ -135,6 +135,9 @@ struct CellResult {
 CellResult runCellWithRetry(const std::function<Result<CellOutcome>()>& cell,
                             std::uint32_t retries);
 
+/// The retries the campaign gives a cell that throws.
+inline constexpr std::uint32_t kCellRetries = 2;
+
 // --- Minimization ------------------------------------------------------
 
 /// ddmin over fault events: the smallest subsequence of `schedule` for
@@ -163,11 +166,8 @@ struct CampaignOptions {
   std::uint64_t seed = 42;
   std::vector<std::string> ops;   ///< subset of campaignOpNames(); empty = all
   std::size_t max_configs = 24;   ///< 0 = the full sampled matrix
-  bool pairwise = true;           ///< add pairwise-covering rows to each-used-value
   std::size_t max_crash_points = 4;   ///< crash cells per (config, op)
   std::size_t max_double_faults = 2;  ///< crash+transient cells per (config, op)
-  bool minimize = true;
-  std::uint32_t cell_retries = 2;
   std::size_t jobs = 0;           ///< 0 = the global --jobs setting
   std::string corpus_dir;         ///< persist minimized repros when non-empty
 };

@@ -449,11 +449,8 @@ CommandResult cmdCampaign(const Options& options, const CommandContext& context)
   campaign.seed = options.number("seed");
   campaign.ops = options.all("op");
   campaign.max_configs = static_cast<std::size_t>(options.number("configs"));
-  campaign.pairwise = !options.on("no-pairwise");
   campaign.max_crash_points = static_cast<std::size_t>(options.number("crash-points"));
   campaign.max_double_faults = static_cast<std::size_t>(options.number("double-faults"));
-  campaign.minimize = !options.on("no-minimize");
-  campaign.cell_retries = static_cast<std::uint32_t>(options.number("retries"));
   campaign.jobs = context.jobs;
   campaign.corpus_dir = options.text("corpus");
 
@@ -1093,9 +1090,6 @@ const std::vector<Command>& commands() {
                      campaign.max_crash_points),
                  num("double-faults", "N", "crash+transient cells per config x op",
                      campaign.max_double_faults),
-                 sw("no-pairwise", "each-used-value sampling only"),
-                 sw("no-minimize", "skip ddmin reproducer minimization"),
-                 num("retries", "N", "per-cell retry budget", campaign.cell_retries),
                  str("corpus", "DIR", "persist minimized reproducers as a regression corpus"),
                  str("replay", "DIR", "replay a corpus directory instead of running"), json,
                  fail_on},

@@ -26,16 +26,9 @@ CampaignResult runCampaign(int runs, bool dependency_aware,
   for (int run = 0; run < runs; ++run) {
     GeneratedConfig config = dependency_aware ? gen.dependencyAwareConfig(deps) : gen.randomConfig();
 
-    const std::uint32_t device_bs =
-        (config.mkfs.block_size >= 512 && config.mkfs.block_size <= (1u << 20) &&
-         (config.mkfs.block_size & (config.mkfs.block_size - 1)) == 0)
-            ? config.mkfs.block_size
-            : 1024;
-    const std::uint32_t device_blocks =
-        std::max<std::uint32_t>(8192, config.mkfs.size_blocks + 4096);
     // One span per pipeline stage; the device's construction and release
     // stay outside them (they are the campaign span's self time).
-    BlockDevice device(device_blocks, device_bs);
+    BlockDevice device(deviceBlocksFor(config), deviceBlockSizeFor(config));
 
     {
       obs::Span stage("conbugck", "mkfs");

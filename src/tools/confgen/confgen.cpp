@@ -1,6 +1,8 @@
 #include "tools/confgen/confgen.h"
 
 #include <algorithm>
+#include <limits>
+#include <type_traits>
 
 namespace fsdep::tools {
 
@@ -65,162 +67,186 @@ GeneratedConfig ConfigGenerator::randomConfig() {
   return c;
 }
 
+// --- Parameters as data ------------------------------------------------
+
+namespace {
+
+template <auto Part, auto Field>
+std::int64_t getField(const GeneratedConfig& c) {
+  return static_cast<std::int64_t>(c.*Part.*Field);
+}
+
+template <auto Part, auto Field>
+void setField(GeneratedConfig& c, std::int64_t value) {
+  auto& field = c.*Part.*Field;
+  field = static_cast<std::remove_reference_t<decltype(field)>>(value);
+}
+
+template <auto Field>
+constexpr ParamBinding mkfsParam(std::string_view name, std::int64_t on) {
+  return {name, getField<&GeneratedConfig::mkfs, Field>, setField<&GeneratedConfig::mkfs, Field>,
+          on};
+}
+
+template <auto Field>
+constexpr ParamBinding mountParam(std::string_view name, std::int64_t on) {
+  return {name, getField<&GeneratedConfig::mount, Field>,
+          setField<&GeneratedConfig::mount, Field>, on};
+}
+
+/// mount.data_journal / mount.data_writeback: enabling selects the mode,
+/// disabling returns to ordered.
+template <DataMode Mode>
+constexpr ParamBinding dataModeParam(std::string_view name) {
+  return {name,
+          [](const GeneratedConfig& c) -> std::int64_t { return c.mount.data_mode == Mode; },
+          [](GeneratedConfig& c, std::int64_t on) {
+            c.mount.data_mode = on != 0 ? Mode : DataMode::Ordered;
+          },
+          1};
+}
+
+constexpr std::int64_t kValue = 0;
+constexpr std::int64_t kFlag = 1;
+
+constexpr ParamBinding kParamBindings[] = {
+    mkfsParam<&MkfsOptions::block_size>("mke2fs.blocksize", kValue),
+    mkfsParam<&MkfsOptions::size_blocks>("mke2fs.size", kValue),
+    mkfsParam<&MkfsOptions::inode_size>("mke2fs.inode_size", kValue),
+    mkfsParam<&MkfsOptions::inode_ratio>("mke2fs.inode_ratio", kValue),
+    mkfsParam<&MkfsOptions::reserved_ratio>("mke2fs.reserved_ratio", kValue),
+    mkfsParam<&MkfsOptions::blocks_per_group>("mke2fs.blocks_per_group", kValue),
+    mkfsParam<&MkfsOptions::cluster_size>("mke2fs.cluster_size", 2048),
+    mkfsParam<&MkfsOptions::resize_limit_blocks>("mke2fs.resize_limit", 65536),
+    mkfsParam<&MkfsOptions::meta_bg>("mke2fs.meta_bg", kFlag),
+    mkfsParam<&MkfsOptions::resize_inode>("mke2fs.resize_inode", kFlag),
+    mkfsParam<&MkfsOptions::sparse_super2>("mke2fs.sparse_super2", kFlag),
+    mkfsParam<&MkfsOptions::bigalloc>("mke2fs.bigalloc", kFlag),
+    mkfsParam<&MkfsOptions::extents>("mke2fs.extent", kFlag),
+    mkfsParam<&MkfsOptions::has_64bit>("mke2fs.64bit", kFlag),
+    mkfsParam<&MkfsOptions::quota>("mke2fs.quota", kFlag),
+    mkfsParam<&MkfsOptions::has_journal>("mke2fs.has_journal", kFlag),
+    mkfsParam<&MkfsOptions::uninit_bg>("mke2fs.uninit_bg", kFlag),
+    mkfsParam<&MkfsOptions::metadata_csum>("mke2fs.metadata_csum", kFlag),
+    mkfsParam<&MkfsOptions::flex_bg>("mke2fs.flex_bg", kFlag),
+    mkfsParam<&MkfsOptions::inline_data>("mke2fs.inline_data", kFlag),
+    mkfsParam<&MkfsOptions::encrypt>("mke2fs.encrypt", kFlag),
+    mountParam<&MountOptions::commit_interval>("mount.commit", kValue),
+    mountParam<&MountOptions::stripe>("mount.stripe", kValue),
+    mountParam<&MountOptions::inode_readahead_blks>("mount.inode_readahead_blks", kValue),
+    mountParam<&MountOptions::max_batch_time>("mount.max_batch_time", kValue),
+    mountParam<&MountOptions::min_batch_time>("mount.min_batch_time", kValue),
+    mountParam<&MountOptions::read_only>("mount.ro", kFlag),
+    mountParam<&MountOptions::noload>("mount.noload", kFlag),
+    mountParam<&MountOptions::dax>("mount.dax", kFlag),
+    mountParam<&MountOptions::journal_checksum>("mount.journal_checksum", kFlag),
+    mountParam<&MountOptions::journal_async_commit>("mount.journal_async_commit", kFlag),
+    mountParam<&MountOptions::dioread_nolock>("mount.dioread_nolock", kFlag),
+    mountParam<&MountOptions::delalloc>("mount.delalloc", kFlag),
+    mountParam<&MountOptions::auto_da_alloc>("mount.auto_da_alloc", kFlag),
+    dataModeParam<DataMode::Journal>("mount.data_journal"),
+    dataModeParam<DataMode::Writeback>("mount.data_writeback"),
+};
+
+}  // namespace
+
+std::span<const ParamBinding> paramBindings() { return kParamBindings; }
+
+const ParamBinding* findParamBinding(std::string_view name) {
+  for (const ParamBinding& binding : kParamBindings) {
+    if (binding.name == name) return &binding;
+  }
+  return nullptr;
+}
+
+bool setParam(GeneratedConfig& config, std::string_view name, std::int64_t value) {
+  const ParamBinding* binding = findParamBinding(name);
+  if (binding == nullptr) return false;
+  binding->set(config, value);
+  return true;
+}
+
+// --- Repair ------------------------------------------------------------
+
+namespace {
+
+using model::ConstraintOp;
+
+/// Clamps `p` into [low, high], then gives it the shape fsim demands:
+/// block sizes and readahead windows are powers of two, and a group's
+/// block count fills whole bitmap bytes.
+void clampParam(GeneratedConfig& c, const ParamBinding& p, std::int64_t low, std::int64_t high) {
+  std::int64_t v = std::min(std::max(p.get(c), low), high);
+  if (p.name == "mke2fs.blocksize" || p.name == "mount.inode_readahead_blks") {
+    std::int64_t pow2 = 1;
+    while (pow2 < v && pow2 < (1 << 30)) pow2 <<= 1;
+    v = pow2;
+  } else if (p.name == "mke2fs.blocks_per_group") {
+    v -= v % 8;
+  }
+  p.set(c, v);
+}
+
+/// Turns a switch off. Disabling bigalloc also clears cluster_size,
+/// which means nothing without it.
+void disable(GeneratedConfig& c, const ParamBinding& p) {
+  p.set(c, 0);
+  if (p.name == "mke2fs.bigalloc") setParam(c, "mke2fs.cluster_size", 0);
+}
+
+/// Restores `param <= k * other` (Le) or `param >= k * other` (Ge) by
+/// moving param onto the bound. k is 8 for blocks_per_group: one bitmap
+/// block covers 8 * blocksize blocks, a factor the extracted relation
+/// leaves out. A zero param is an unset size (cluster_size without
+/// bigalloc) and stays unset. mke2fs.size is left alone: the
+/// configuration counts it in blocks, the relation in bytes.
+void repairRelation(GeneratedConfig& c, const model::Dependency& dep, const ParamBinding& param,
+                    const ParamBinding& other) {
+  if (param.name == "mke2fs.size") return;
+  const std::int64_t value = param.get(c);
+  const std::int64_t bound = (param.name == "mke2fs.blocks_per_group" ? 8 : 1) * other.get(c);
+  const bool holds = dep.op == ConstraintOp::Le ? value <= bound : value >= bound;
+  if (value != 0 && !holds) param.set(c, bound);
+}
+
+}  // namespace
+
 void repairConfig(GeneratedConfig& c, const std::vector<model::Dependency>& deps) {
-  using model::ConstraintOp;
-
-  // Numeric repairs first (SD ranges), then control-dependency repairs.
-  auto clampMkfs = [&](const std::string& name, std::int64_t low, std::int64_t high) {
-    auto clamp32 = [&](std::uint32_t& v) {
-      if (static_cast<std::int64_t>(v) < low) v = static_cast<std::uint32_t>(low);
-      if (static_cast<std::int64_t>(v) > high) v = static_cast<std::uint32_t>(high);
-    };
-    if (name == "mke2fs.blocksize") {
-      std::uint32_t bs = c.mkfs.block_size;
-      if (bs < low) bs = static_cast<std::uint32_t>(low);
-      if (bs > high) bs = static_cast<std::uint32_t>(high);
-      // power of two
-      std::uint32_t p = 1024;
-      while (p < bs) p <<= 1;
-      c.mkfs.block_size = p;
-    } else if (name == "mke2fs.inode_size") {
-      std::uint16_t v = c.mkfs.inode_size;
-      if (v < low) v = static_cast<std::uint16_t>(low);
-      if (v > high) v = static_cast<std::uint16_t>(high);
-      c.mkfs.inode_size = v;
-    } else if (name == "mke2fs.inode_ratio") {
-      clamp32(c.mkfs.inode_ratio);
-    } else if (name == "mke2fs.reserved_ratio") {
-      clamp32(c.mkfs.reserved_ratio);
-    } else if (name == "mke2fs.blocks_per_group") {
-      clamp32(c.mkfs.blocks_per_group);
-      c.mkfs.blocks_per_group -= c.mkfs.blocks_per_group % 8;
-    } else if (name == "mount.commit") {
-      if (c.mount.commit_interval < low) c.mount.commit_interval = static_cast<std::uint32_t>(low);
-      if (c.mount.commit_interval > high) c.mount.commit_interval = static_cast<std::uint32_t>(high);
-    } else if (name == "mount.stripe") {
-      if (c.mount.stripe > high) c.mount.stripe = static_cast<std::uint32_t>(high);
-    } else if (name == "mount.inode_readahead_blks") {
-      std::uint32_t p = 1;
-      while (p < c.mount.inode_readahead_blks && p < (1u << 30)) p <<= 1;
-      c.mount.inode_readahead_blks = p;
-      if (c.mount.inode_readahead_blks > high) {
-        c.mount.inode_readahead_blks = static_cast<std::uint32_t>(high);
-      }
-    } else if (name == "mount.max_batch_time") {
-      if (c.mount.max_batch_time > high) c.mount.max_batch_time = static_cast<std::uint32_t>(high);
-    }
-  };
-
-  auto disableMkfs = [&](const std::string& name) {
-    if (name == "mke2fs.meta_bg") c.mkfs.meta_bg = false;
-    else if (name == "mke2fs.resize_inode") c.mkfs.resize_inode = false;
-    else if (name == "mke2fs.sparse_super2") c.mkfs.sparse_super2 = false;
-    else if (name == "mke2fs.bigalloc") { c.mkfs.bigalloc = false; c.mkfs.cluster_size = 0; }
-    else if (name == "mke2fs.64bit") c.mkfs.has_64bit = false;
-    else if (name == "mke2fs.quota") c.mkfs.quota = false;
-    else if (name == "mke2fs.uninit_bg") c.mkfs.uninit_bg = false;
-    else if (name == "mke2fs.metadata_csum") c.mkfs.metadata_csum = false;
-    else if (name == "mke2fs.inline_data") c.mkfs.inline_data = false;
-    else if (name == "mke2fs.encrypt") c.mkfs.encrypt = false;
-    else if (name == "mke2fs.cluster_size") c.mkfs.cluster_size = 0;
-    else if (name == "mke2fs.resize_limit") c.mkfs.resize_limit_blocks = 0;
-  };
-
-  auto flagEnabled = [&](const std::string& name) -> bool {
-    if (name == "mke2fs.meta_bg") return c.mkfs.meta_bg;
-    if (name == "mke2fs.resize_inode") return c.mkfs.resize_inode;
-    if (name == "mke2fs.sparse_super2") return c.mkfs.sparse_super2;
-    if (name == "mke2fs.bigalloc") return c.mkfs.bigalloc;
-    if (name == "mke2fs.extent") return c.mkfs.extents;
-    if (name == "mke2fs.64bit") return c.mkfs.has_64bit;
-    if (name == "mke2fs.quota") return c.mkfs.quota;
-    if (name == "mke2fs.has_journal") return c.mkfs.has_journal;
-    if (name == "mke2fs.uninit_bg") return c.mkfs.uninit_bg;
-    if (name == "mke2fs.metadata_csum") return c.mkfs.metadata_csum;
-    if (name == "mke2fs.inline_data") return c.mkfs.inline_data;
-    if (name == "mke2fs.encrypt") return c.mkfs.encrypt;
-    if (name == "mke2fs.cluster_size") return c.mkfs.cluster_size != 0;
-    if (name == "mke2fs.resize_limit") return c.mkfs.resize_limit_blocks != 0;
-    if (name == "mount.dax") return c.mount.dax;
-    if (name == "mount.noload") return c.mount.noload;
-    if (name == "mount.ro") return c.mount.read_only;
-    if (name == "mount.data_journal") return c.mount.data_mode == DataMode::Journal;
-    if (name == "mount.data_writeback") return c.mount.data_mode == DataMode::Writeback;
-    if (name == "mount.journal_checksum") return c.mount.journal_checksum;
-    if (name == "mount.journal_async_commit") return c.mount.journal_async_commit;
-    if (name == "mount.dioread_nolock") return c.mount.dioread_nolock;
-    if (name == "mount.delalloc") return c.mount.delalloc;
-    if (name == "mount.auto_da_alloc") return c.mount.auto_da_alloc;
-    return false;
-  };
-
-  auto enableRequirement = [&](const std::string& name) {
-    if (name == "mke2fs.extent") c.mkfs.extents = true;
-    else if (name == "mke2fs.has_journal") c.mkfs.has_journal = true;
-    else if (name == "mke2fs.resize_inode") c.mkfs.resize_inode = true;
-    else if (name == "mke2fs.bigalloc") c.mkfs.bigalloc = true;
-    else if (name == "mke2fs.flex_bg") c.mkfs.flex_bg = true;
-    else if (name == "mount.ro") c.mount.read_only = true;
-    else if (name == "mount.journal_checksum") c.mount.journal_checksum = true;
-    else if (name == "mount.data_writeback") c.mount.data_mode = DataMode::Writeback;
-  };
-
-  auto disableEither = [&](const std::string& a, const std::string& b) {
-    // Prefer disabling the first (the dependency's subject).
-    if (a.starts_with("mount.")) {
-      if (a == "mount.dax") c.mount.dax = false;
-      else if (a == "mount.dioread_nolock") c.mount.dioread_nolock = false;
-      else if (a == "mount.delalloc") c.mount.delalloc = false;
-      else if (a == "mount.auto_da_alloc") c.mount.auto_da_alloc = false;
-      else if (a == "mount.data_journal") c.mount.data_mode = DataMode::Ordered;
-      else disableMkfs(a);
-    } else {
-      disableMkfs(a);
-    }
-    (void)b;
-  };
-
   // Two passes: requires-repairs can themselves enable a flag that an
   // excludes-dependency then has to resolve.
   for (int pass = 0; pass < 2; ++pass) {
     for (const model::Dependency& dep : deps) {
+      const ParamBinding* param = findParamBinding(dep.param);
+      if (param == nullptr) continue;
       switch (dep.op) {
         case ConstraintOp::InRange:
-          clampMkfs(dep.param, dep.low.value_or(INT64_MIN), dep.high.value_or(INT64_MAX));
+          clampParam(c, *param, dep.low.value_or(INT64_MIN), dep.high.value_or(INT64_MAX));
           break;
         case ConstraintOp::PowerOfTwo:
-          clampMkfs(dep.param, 1, 1 << 30);
+          clampParam(c, *param, 1, 1 << 30);
           break;
-        case ConstraintOp::Requires:
-          if (flagEnabled(dep.param) && !flagEnabled(dep.other_param)) {
-            enableRequirement(dep.other_param);
-            if (!flagEnabled(dep.other_param)) disableMkfs(dep.param);
+        case ConstraintOp::Requires: {
+          const ParamBinding* other = findParamBinding(dep.other_param);
+          if (!param->enabled(c) || (other != nullptr && other->enabled(c))) break;
+          // Enable the requirement; a parameter whose requirement cannot
+          // be enabled is dropped instead.
+          if (other != nullptr && other->on != 0) {
+            other->set(c, other->on);
+          } else {
+            disable(c, *param);
           }
           break;
-        case ConstraintOp::Excludes:
-          if (flagEnabled(dep.param) && flagEnabled(dep.other_param)) {
-            disableEither(dep.param, dep.other_param);
-          }
+        }
+        case ConstraintOp::Excludes: {
+          // Prefer disabling the dependency's subject.
+          const ParamBinding* other = findParamBinding(dep.other_param);
+          if (param->enabled(c) && other != nullptr && other->enabled(c)) disable(c, *param);
           break;
+        }
         case ConstraintOp::Le:
-          if (dep.param == "mke2fs.inode_size" && c.mkfs.inode_size > c.mkfs.block_size) {
-            c.mkfs.inode_size = static_cast<std::uint16_t>(
-                std::min<std::uint32_t>(c.mkfs.block_size, 4096));
-          } else if (dep.param == "mke2fs.blocks_per_group" &&
-                     c.mkfs.blocks_per_group > 8 * c.mkfs.block_size) {
-            c.mkfs.blocks_per_group = 8 * c.mkfs.block_size;
-          } else if (dep.param == "mount.min_batch_time" &&
-                     c.mount.min_batch_time > c.mount.max_batch_time) {
-            c.mount.min_batch_time = c.mount.max_batch_time;
-          }
-          break;
         case ConstraintOp::Ge:
-          if (dep.param == "mke2fs.cluster_size" && c.mkfs.cluster_size != 0 &&
-              c.mkfs.cluster_size < c.mkfs.block_size) {
-            c.mkfs.cluster_size = c.mkfs.block_size;
-          } else if (dep.param == "mke2fs.inode_ratio" &&
-                     c.mkfs.inode_ratio < c.mkfs.block_size) {
-            c.mkfs.inode_ratio = c.mkfs.block_size;
+          if (const ParamBinding* other = findParamBinding(dep.other_param)) {
+            repairRelation(c, dep, *param, *other);
           }
           break;
         default:
@@ -261,8 +287,8 @@ const std::vector<SamplingKnob>& samplingKnobs() {
 
 GeneratedConfig baselineConfig() {
   GeneratedConfig c;
-  // ConHandleCk's baseline geometry. CrashCk's exhaustive crash sweep
-  // runs on this row (sparse_super2 on for the resize ops).
+  // CrashCk's exhaustive crash sweep runs on this row (sparse_super2 on
+  // for the resize ops).
   c.mkfs.block_size = 1024;
   c.mkfs.size_blocks = 2048;
   c.mkfs.blocks_per_group = 512;
@@ -272,6 +298,20 @@ GeneratedConfig baselineConfig() {
   c.tune.reserved_blocks_count = 64;
   c.resize_target = 3072;
   return c;
+}
+
+std::uint32_t deviceBlockSizeFor(const GeneratedConfig& config) {
+  const std::uint32_t bs = config.mkfs.block_size;
+  const bool pow2 = bs >= 512 && bs <= (1u << 16) && (bs & (bs - 1)) == 0;
+  return pow2 ? bs : 1024;
+}
+
+std::uint32_t deviceBlocksFor(const GeneratedConfig& config) {
+  // In 64 bits, clamped to a 32-bit block count: a replayed size may sit
+  // anywhere below 2^32.
+  const std::uint64_t fs = std::max(config.mkfs.size_blocks, config.resize_target);
+  return static_cast<std::uint32_t>(
+      std::clamp<std::uint64_t>(fs + 2048, 8192, std::numeric_limits<std::uint32_t>::max()));
 }
 
 void applyKnob(GeneratedConfig& c, std::size_t knob, std::size_t value) {

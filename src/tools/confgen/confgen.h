@@ -17,10 +17,18 @@
 //                  Every sampled configuration is repaired against the
 //                  dependency set, so campaigns spend their cells on
 //                  configurations that get past shallow validation.
+//
+// Both consumers of dependencies reach a configuration through one
+// table, paramBindings(): each row binds a registry parameter name
+// ("mke2fs.sparse_super2") to the GeneratedConfig field it drives.
+// repairConfig() uses it to satisfy dependencies, ConHandleCk to
+// violate them.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fsim/mkfs.h"
@@ -36,6 +44,34 @@ struct GeneratedConfig {
   fsim::TuneOptions tune;
   std::uint32_t resize_target = 0;  ///< 0 = no resize step
 };
+
+// --- Parameters as data ------------------------------------------------
+
+/// One parameter fsim can drive: its registry name bound to the
+/// GeneratedConfig field it sets. Values travel as int64; a flag reads 0
+/// or 1, and a setter narrows to its field's type.
+struct ParamBinding {
+  std::string_view name;  ///< "component.param", as in corpus::ecosystem()
+  std::int64_t (*get)(const GeneratedConfig&);
+  void (*set)(GeneratedConfig&, std::int64_t);
+  /// What enabling the parameter writes: 1 for a flag, a representative
+  /// size for a size that doubles as a switch (cluster_size 2048,
+  /// resize_limit 65536), 0 for a plain value, which has no "enabled".
+  std::int64_t on = 0;
+
+  [[nodiscard]] bool enabled(const GeneratedConfig& config) const {
+    return on != 0 && get(config) != 0;
+  }
+};
+
+/// Every fsim-drivable parameter, one row each.
+std::span<const ParamBinding> paramBindings();
+
+/// The row for `name`, or nullptr when fsim cannot drive the parameter.
+const ParamBinding* findParamBinding(std::string_view name);
+
+/// Sets `name` to `value`; false (and nothing set) when it has no row.
+bool setParam(GeneratedConfig& config, std::string_view name, std::int64_t value);
 
 /// Deterministic xorshift generator so runs are reproducible.
 class ConfigGenerator {
@@ -75,8 +111,17 @@ const std::vector<SamplingKnob>& samplingKnobs();
 /// The baseline configuration every sample is derived from: 1 KiB
 /// blocks, 2048-block filesystem, 512 blocks/group, resize to 3072.
 /// CrashCk runs every crash point of this row (sparse_super2 on for
-/// the resize ops).
+/// the resize ops); ConHandleCk builds its violations from it.
 GeneratedConfig baselineConfig();
+
+/// The device a configuration is formatted on. Its block size is the
+/// configuration's when that is a power of two in [512, 64 KiB], else
+/// 1 KiB (mkfs refuses such a block size before touching the device).
+/// It holds the larger of the file system size and the resize target
+/// plus 2048 blocks, at least 8192, counted in 64 bits and clamped to a
+/// 32-bit block count.
+std::uint32_t deviceBlockSizeFor(const GeneratedConfig& config);
+std::uint32_t deviceBlocksFor(const GeneratedConfig& config);
 
 /// Applies choice `value` of knob `knob` to `config`.
 void applyKnob(GeneratedConfig& config, std::size_t knob, std::size_t value);

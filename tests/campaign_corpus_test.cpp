@@ -9,9 +9,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "json/json.h"
 
@@ -78,12 +80,31 @@ TEST(CampaignCorpus, ReplayedSizesNearTwoToTheThirtySecondGiveStructuredOutcomes
 }
 
 TEST(CampaignCorpus, ReplayRejectsAValueThatDoesNotFitItsField) {
-  json::Value doc = firstCommittedRepro();
-  doc.asObject()["config"].asObject()["resize_target"] = std::uint64_t{4294967296u};
-  const Result<ReplayCase> replayed = replayCorpusDocument(doc, "too-big.json");
-  ASSERT_FALSE(replayed.ok());
-  EXPECT_NE(replayed.error().message.find("resize_target"), std::string::npos)
-      << replayed.error().message;
+  // Each case plants one value its field cannot hold, in the config or
+  // in the fault schedule: the replay must fail naming the key, not
+  // replay the value truncated (a transient fault on block 0, a crash
+  // that never fires).
+  const auto config = [](json::Value& doc) -> json::Object& {
+    return doc.asObject()["config"].asObject();
+  };
+  const auto event = [](json::Value& doc) -> json::Object& {
+    return doc.asObject()["schedule"].asArray().at(0).asObject();
+  };
+  const std::vector<std::tuple<const char*, std::function<void(json::Value&)>>> cases = {
+      {"resize_target",
+       [&](json::Value& doc) { config(doc)["resize_target"] = std::uint64_t{4294967296u}; }},
+      {"write_index", [&](json::Value& doc) { event(doc)["write_index"] = std::int64_t{-1}; }},
+      {"block", [&](json::Value& doc) { event(doc)["block"] = std::uint64_t{4294967296u}; }},
+      {"failures", [&](json::Value& doc) { event(doc)["failures"] = std::int64_t{-3}; }},
+  };
+  for (const auto& [key, plant] : cases) {
+    json::Value doc = firstCommittedRepro();
+    plant(doc);
+    const Result<ReplayCase> replayed = replayCorpusDocument(doc, "too-big.json");
+    ASSERT_FALSE(replayed.ok()) << key;
+    EXPECT_NE(replayed.error().message.find(std::string("'") + key + "'"), std::string::npos)
+        << replayed.error().message;
+  }
 }
 
 TEST(CampaignCorpus, ReplayRejectsMissingDirectory) {

@@ -142,6 +142,61 @@ TEST(Sampling, BaselineRowPassesMkfsValidation) {
   EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations.front());
 }
 
+TEST(ParamBindings, EachRowReadsBackWhatItWrites) {
+  for (const ParamBinding& binding : paramBindings()) {
+    GeneratedConfig config = baselineConfig();
+    const std::int64_t value = binding.on != 0 ? binding.on : 300;
+    binding.set(config, value);
+    EXPECT_EQ(binding.get(config), value) << binding.name;
+    EXPECT_EQ(binding.enabled(config), binding.on != 0) << binding.name;
+    binding.set(config, 0);
+    EXPECT_EQ(binding.get(config), 0) << binding.name;
+    EXPECT_FALSE(binding.enabled(config)) << binding.name;
+  }
+  EXPECT_EQ(findParamBinding("mke2fs.label"), nullptr);  // a string, not drivable
+  GeneratedConfig config;
+  EXPECT_FALSE(setParam(config, "mke2fs.flex_bg_size", 16));
+}
+
+model::Dependency relation(model::ConstraintOp op, const std::string& param,
+                           const std::string& other) {
+  model::Dependency dep;
+  dep.op = op;
+  dep.param = param;
+  dep.other_param = other;
+  return dep;
+}
+
+TEST(Repair, EnablesARequirementAndDisablesAnExcludedSubject) {
+  using model::ConstraintOp;
+  GeneratedConfig config = baselineConfig();
+  config.mkfs.bigalloc = true;
+  config.mkfs.cluster_size = 2048;
+  config.mkfs.encrypt = true;
+  config.mkfs.extents = false;
+  repairConfig(config, {relation(ConstraintOp::Requires, "mke2fs.bigalloc", "mke2fs.extent")});
+  EXPECT_TRUE(config.mkfs.extents);
+  // Disabling bigalloc also clears the cluster size it gave meaning.
+  repairConfig(config, {relation(ConstraintOp::Excludes, "mke2fs.bigalloc", "mke2fs.encrypt")});
+  EXPECT_FALSE(config.mkfs.bigalloc);
+  EXPECT_EQ(config.mkfs.cluster_size, 0u);
+  EXPECT_TRUE(config.mkfs.encrypt);
+}
+
+TEST(Repair, ValueRelationsMoveTheParameterOntoItsBound) {
+  using model::ConstraintOp;
+  GeneratedConfig config = baselineConfig();  // 1 KiB blocks
+  config.mkfs.blocks_per_group = 16384;
+  config.mkfs.size_blocks = 16;
+  repairConfig(config,
+               {relation(ConstraintOp::Le, "mke2fs.blocks_per_group", "mke2fs.blocksize"),
+                relation(ConstraintOp::Ge, "mke2fs.size", "mke2fs.blocksize"),
+                relation(ConstraintOp::Ge, "mke2fs.cluster_size", "mke2fs.blocksize")});
+  EXPECT_EQ(config.mkfs.blocks_per_group, 8192u);  // one bitmap block: 8 x blocksize
+  EXPECT_EQ(config.mkfs.size_blocks, 16u);         // blocks, not bytes: left alone
+  EXPECT_EQ(config.mkfs.cluster_size, 0u);         // unset stays unset
+}
+
 TEST(Repair, AppliesStructuralRulesWithoutDependencies) {
   GeneratedConfig config = baselineConfig();
   config.mount.dax = true;           // needs 4 KiB blocks; baseline is 1 KiB

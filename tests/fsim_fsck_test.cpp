@@ -153,6 +153,27 @@ TEST(Fsck, BackupSuperblockRecovery) {
   EXPECT_FALSE(bad_magic);
 }
 
+TEST(Fsck, BackupPathRefusesAPrimaryWhoseBlockSizeCannotLocateIt) {
+  // The backup's offset is the primary's group start times its block
+  // size; a primary claiming log_block_size 40 must be refused before
+  // that shift, with the primary path's geometry error.
+  BlockDevice dev = makeFs();
+  FsImage image(dev);
+  Superblock sb = image.loadSuperblock();
+  const std::vector<std::uint32_t> backups = backupGroups(sb);
+  ASSERT_FALSE(backups.empty());
+  sb.log_block_size = 40;
+  image.storeSuperblock(sb);
+
+  const auto backup = FsckTool::check(dev, FsckOptions{.force = true, .backup_group = backups[0]});
+  ASSERT_FALSE(backup.ok());
+  EXPECT_NE(backup.error().message.find("geometry out of range"), std::string::npos)
+      << backup.error().message;
+  const auto primary = FsckTool::check(dev, FsckOptions{.force = true});
+  ASSERT_FALSE(primary.ok());
+  EXPECT_EQ(primary.error().message, backup.error().message);
+}
+
 TEST(Fsck, RepairRestoresConsistency) {
   BlockDevice dev = makeFs();
   FsImage image(dev);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "corpus/disk_cache.h"
 #include "corpus/pipeline.h"
 #include "fsim/fsck.h"
 #include "fsim/image.h"
@@ -13,6 +14,8 @@
 #include "tools/conhandleck.h"
 #include "tools/crashck.h"
 #include "tools/depgraph.h"
+
+#include "golden_digest.h"
 
 namespace fsdep::tools {
 namespace {
@@ -149,6 +152,31 @@ TEST_F(HandleCheckFixture, SilentAcceptsAreKnownGaps) {
   EXPECT_EQ(silent.size(), 2u) << report().summary();
 }
 
+TEST_F(HandleCheckFixture, EveryCaseIsPinned) {
+  // Each of the 64 cases as id, attempted configuration, outcome and
+  // tool message, digested. `handleck` prints only the counts and the
+  // three notable cases; this pins the rest.
+  std::string text;
+  for (const HandleCase& c : report().cases) {
+    text += c.dependency_id + " | " + c.description + " | " + handleOutcomeName(c.outcome) +
+            " | " + c.detail + "\n";
+  }
+  EXPECT_EQ(golden::hex(corpus::contentDigest(text)), "0x43a5a5f956acfd99") << text;
+}
+
+// --- The parameter table ConHandleCk and confgen share. ---
+
+TEST(ParamBindings, EveryRowNamesARegistryParameter) {
+  // A mistyped row would silently turn its dependencies "n/a" in
+  // ConHandleCk and leave them unrepaired in confgen.
+  std::set<std::string_view> seen;
+  for (const ParamBinding& binding : paramBindings()) {
+    EXPECT_NE(corpus::ecosystem().findParameter(binding.name), nullptr) << binding.name;
+    EXPECT_TRUE(seen.insert(binding.name).second) << binding.name << " has two rows";
+  }
+  EXPECT_EQ(seen.size(), 36u);
+}
+
 // --- ConBugCk. ---
 
 TEST(ConBugCk, GeneratorIsDeterministic) {
@@ -168,6 +196,27 @@ TEST(ConBugCk, RepairSatisfiesDependencies) {
     const fsim::Superblock fake;  // option checks that need no real sb
     (void)fake;
   }
+}
+
+TEST(ConBugCk, RepairedConfigsArePinned) {
+  // Seeded random configurations repaired against Table 5, then the
+  // whole sampled matrix, each rendered as the campaign's config JSON
+  // and digested: every field repair writes is covered, not only the
+  // ones a campaign or bugck run happens to reach.
+  const std::vector<Dependency> deps = corpus::runTable5().unique_deps;
+  std::string text;
+  for (const std::uint64_t seed : {1u, 42u, 99u}) {
+    ConfigGenerator gen(seed);
+    for (int i = 0; i < 200; ++i) {
+      GeneratedConfig config = gen.randomConfig();
+      repairConfig(config, deps);
+      text += json::writeCompact(generatedConfigToJson(config)) + "\n";
+    }
+  }
+  for (const SampledConfig& row : sampleConfigMatrix(SamplingOptions{}, deps)) {
+    text += row.origin + " " + json::writeCompact(generatedConfigToJson(row.config)) + "\n";
+  }
+  EXPECT_EQ(golden::hex(corpus::contentDigest(text)), "0x759bffbc25a59e27");
 }
 
 TEST(ConBugCk, DependencyAwareBeatsNaive) {
