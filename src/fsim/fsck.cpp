@@ -58,8 +58,10 @@ Result<FsckReport> FsckTool::checkImpl(BlockDevice& device, const FsckOptions& o
     return report;  // nothing else is trustworthy
   }
   // Every group read trusts the geometry: refuse one without groups or
-  // with more than the descriptor table holds.
-  if (sb.blocks_count <= sb.first_data_block || sb.groupCount() > sb.maxGroups()) {
+  // with more than the descriptor table holds. The extent cross-check
+  // and every inode load divide by the per-group counts.
+  if (sb.blocks_count <= sb.first_data_block || sb.groupCount() > sb.maxGroups() ||
+      sb.blocks_per_group == 0 || sb.inodes_per_group == 0) {
     return geometryError(sb);
   }
 

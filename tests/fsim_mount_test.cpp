@@ -93,23 +93,41 @@ TEST(Mount, RejectsFieldDomainViolations) {
 
 TEST(Mount, RejectsGeometryWithoutGroupsOrBeyondTheDescriptorTable) {
   // 0xFFFFFFFF blocks counted 0 groups in 32 bits; 0 blocks sit below
-  // first_data_block.
-  for (const std::uint32_t blocks : {0xFFFFFFFFu, 0u}) {
+  // first_data_block. Zero blocks or inodes per group count 0 groups
+  // too, and fsck's extent cross-check (over the file written here) and
+  // its inode loads divide by them.
+  struct Case {
+    const char* name;
+    void (*corrupt)(Superblock&);
+  };
+  const Case cases[] = {
+      {"blocks_count 0xFFFFFFFF", [](Superblock& sb) { sb.blocks_count = 0xFFFFFFFFu; }},
+      {"blocks_count 0", [](Superblock& sb) { sb.blocks_count = 0; }},
+      {"blocks_per_group 0", [](Superblock& sb) { sb.blocks_per_group = 0; }},
+      {"inodes_per_group 0", [](Superblock& sb) { sb.inodes_per_group = 0; }},
+  };
+  for (const Case& c : cases) {
     BlockDevice dev = makeFs();
+    {
+      auto mounted = MountTool::mount(dev, MountOptions{});
+      ASSERT_TRUE(mounted.ok()) << mounted.error().message;
+      ASSERT_TRUE(mounted.value().createFile(4096).ok()) << c.name;
+      mounted.value().unmount();
+    }
     FsImage image(dev);
     Superblock sb = image.loadSuperblock();
-    sb.blocks_count = blocks;
+    c.corrupt(sb);
     sb.updateChecksum();
     image.storeSuperblock(sb);
     const auto mounted = MountTool::mount(dev, MountOptions{});
-    ASSERT_FALSE(mounted.ok()) << blocks;
-    EXPECT_NE(mounted.error().message.find("mount: refused"), std::string::npos) << blocks;
+    ASSERT_FALSE(mounted.ok()) << c.name;
+    EXPECT_NE(mounted.error().message.find("mount: refused"), std::string::npos) << c.name;
     FsckOptions fsck;
     for (const bool force : {false, true}) {
       fsck.force = force;
       const auto checked = FsckTool::check(dev, fsck);
-      ASSERT_FALSE(checked.ok()) << blocks;
-      EXPECT_NE(checked.error().message.find("geometry"), std::string::npos) << blocks;
+      ASSERT_FALSE(checked.ok()) << c.name;
+      EXPECT_NE(checked.error().message.find("geometry"), std::string::npos) << c.name;
     }
   }
 }
