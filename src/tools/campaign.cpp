@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -30,36 +29,65 @@ using namespace fsim;
 
 // --- Fault schedules ---------------------------------------------------
 
-const char* faultEventKindName(FaultEventKind kind) {
-  switch (kind) {
-    case FaultEventKind::CrashAtWrite: return "crash-at-write";
-    case FaultEventKind::FailAfterWrites: return "fail-after-writes";
-    case FaultEventKind::TransientWrite: return "transient-write";
-    case FaultEventKind::TransientRead: return "transient-read";
-  }
-  return "?";
+namespace {
+
+/// What an event carries besides its kind.
+enum class FaultValues : std::uint8_t { WriteIndex, BlockAndFailures };
+
+/// One row per FaultEventKind: its name in a reproducer file, its tag in
+/// a schedule summary and the values it carries.
+struct FaultKindRow {
+  FaultEventKind kind;
+  const char* name;
+  const char* tag;
+  FaultValues values;
+};
+
+constexpr FaultKindRow kFaultKinds[] = {
+    {FaultEventKind::CrashAtWrite, "crash-at-write", "crash", FaultValues::WriteIndex},
+    {FaultEventKind::FailAfterWrites, "fail-after-writes", "dead", FaultValues::WriteIndex},
+    {FaultEventKind::TransientWrite, "transient-write", "transient-write",
+     FaultValues::BlockAndFailures},
+    {FaultEventKind::TransientRead, "transient-read", "transient-read",
+     FaultValues::BlockAndFailures},
+};
+
+const FaultKindRow& rowOf(FaultEventKind kind) {
+  return *std::ranges::find(kFaultKinds, kind, &FaultKindRow::kind);
 }
 
-std::optional<FaultEventKind> faultEventKindFromName(std::string_view name) {
-  if (name == "crash-at-write") return FaultEventKind::CrashAtWrite;
-  if (name == "fail-after-writes") return FaultEventKind::FailAfterWrites;
-  if (name == "transient-write") return FaultEventKind::TransientWrite;
-  if (name == "transient-read") return FaultEventKind::TransientRead;
-  return std::nullopt;
+/// One row per value an event carries: its key and the kinds that carry it.
+struct FaultValue {
+  const char* key;
+  FaultValues carried_by;
+  std::uint64_t (*get)(const FaultEvent&);
+  bool (*set)(FaultEvent&, std::uint64_t);  ///< false when the value does not fit
+};
+
+template <auto Member>
+constexpr FaultValue faultValue(const char* key, FaultValues carried_by) {
+  return {key, carried_by, [](const FaultEvent& e) -> std::uint64_t { return e.*Member; },
+          [](FaultEvent& e, std::uint64_t value) {
+            e.*Member = static_cast<std::remove_reference_t<decltype(e.*Member)>>(value);
+            return e.*Member == value;
+          }};
 }
+
+constexpr FaultValue kFaultValues[] = {
+    faultValue<&FaultEvent::write_index>("write_index", FaultValues::WriteIndex),
+    faultValue<&FaultEvent::block>("block", FaultValues::BlockAndFailures),
+    faultValue<&FaultEvent::failures>("failures", FaultValues::BlockAndFailures),
+};
+
+constexpr const char* kKindKey = "kind";
+
+}  // namespace
 
 std::string FaultEvent::summary() const {
-  switch (kind) {
-    case FaultEventKind::CrashAtWrite:
-      return "crash@" + std::to_string(write_index);
-    case FaultEventKind::FailAfterWrites:
-      return "dead@" + std::to_string(write_index);
-    case FaultEventKind::TransientWrite:
-      return "transient-write(b" + std::to_string(block) + " x" + std::to_string(failures) + ")";
-    case FaultEventKind::TransientRead:
-      return "transient-read(b" + std::to_string(block) + " x" + std::to_string(failures) + ")";
-  }
-  return "?";
+  const FaultKindRow& row = rowOf(kind);
+  if (row.values == FaultValues::WriteIndex)
+    return row.tag + ("@" + std::to_string(write_index));
+  return row.tag + ("(b" + std::to_string(block) + " x" + std::to_string(failures) + ")");
 }
 
 fsim::FaultPlan compileFaultSchedule(const FaultSchedule& schedule, std::uint64_t seed) {
@@ -100,42 +128,16 @@ std::string faultScheduleSummary(const FaultSchedule& schedule) {
 json::Array faultScheduleToJson(const FaultSchedule& schedule) {
   json::Array events;
   for (const FaultEvent& event : schedule) {
+    const FaultKindRow& row = rowOf(event.kind);
     json::Object obj;
-    obj["kind"] = faultEventKindName(event.kind);
-    switch (event.kind) {
-      case FaultEventKind::CrashAtWrite:
-      case FaultEventKind::FailAfterWrites:
-        obj["write_index"] = static_cast<std::uint64_t>(event.write_index);
-        break;
-      case FaultEventKind::TransientWrite:
-      case FaultEventKind::TransientRead:
-        obj["block"] = static_cast<std::uint64_t>(event.block);
-        obj["failures"] = static_cast<std::uint64_t>(event.failures);
-        break;
+    obj[kKindKey] = row.name;
+    for (const FaultValue& value : kFaultValues) {
+      if (value.carried_by == row.values) obj[value.key] = value.get(event);
     }
     events.emplace_back(std::move(obj));
   }
   return events;
 }
-
-namespace {
-
-/// Reads a non-negative integer into its field's type. A value that does
-/// not fit keeps `fallback` and records its key in `bad_key` (the first
-/// such key only); a missing or non-integer value keeps `fallback`.
-template <typename T>
-T readUint(const json::Object& obj, const char* key, T fallback, const char*& bad_key) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr || !v->isInt()) return fallback;
-  const std::int64_t n = v->asInt();
-  if (n >= 0 && static_cast<std::uint64_t>(n) <= std::numeric_limits<T>::max()) {
-    return static_cast<T>(n);
-  }
-  if (bad_key == nullptr) bad_key = key;
-  return fallback;
-}
-
-}  // namespace
 
 Result<FaultSchedule> faultScheduleFromJson(const json::Value& value) {
   if (!value.isArray()) return makeError("campaign: fault schedule must be a JSON array");
@@ -143,225 +145,29 @@ Result<FaultSchedule> faultScheduleFromJson(const json::Value& value) {
   for (const json::Value& item : value.asArray()) {
     if (!item.isObject()) return makeError("campaign: fault event must be a JSON object");
     const json::Object& obj = item.asObject();
-    const json::Value* kind = obj.find("kind");
+    const json::Value* kind = obj.find(kKindKey);
     if (kind == nullptr || !kind->isString())
-      return makeError("campaign: fault event is missing its 'kind'");
-    const std::optional<FaultEventKind> parsed = faultEventKindFromName(kind->asString());
-    if (!parsed.has_value())
+      return makeError(std::string("campaign: fault event is missing its '") + kKindKey + "'");
+    const auto* row = std::ranges::find_if(
+        kFaultKinds, [&](const FaultKindRow& r) { return kind->asString() == r.name; });
+    if (row == std::end(kFaultKinds))
       return makeError("campaign: unknown fault event kind '" + kind->asString() + "'");
     FaultEvent event;
-    event.kind = *parsed;
-    const char* bad_key = nullptr;
-    event.write_index = readUint(obj, "write_index", event.write_index, bad_key);
-    event.block = readUint(obj, "block", event.block, bad_key);
-    event.failures = readUint(obj, "failures", event.failures, bad_key);
-    if (bad_key != nullptr) {
-      return makeError(std::string("campaign: fault event value '") + bad_key +
-                       "' does not fit its field");
+    event.kind = row->kind;
+    for (const auto& [key, v] : obj) {
+      if (key == kKindKey) continue;
+      const auto* field = std::ranges::find_if(
+          kFaultValues, [&](const FaultValue& f) { return key == f.key; });
+      if (field == std::end(kFaultValues) || field->carried_by != row->values)
+        return makeError("campaign: a " + kind->asString() + " event carries no '" + key + "'");
+      if (!v->isInt())
+        return makeError("campaign: fault event value '" + key + "' is not an integer");
+      if (v->asInt() < 0 || !field->set(event, static_cast<std::uint64_t>(v->asInt())))
+        return makeError("campaign: fault event value '" + key + "' does not fit its field");
     }
     schedule.push_back(event);
   }
   return schedule;
-}
-
-// --- Outcome keys ------------------------------------------------------
-
-namespace {
-
-/// Lowercase stable identifiers (crashOutcomeName shouts for reports;
-/// corpus files and metric labels want something greppable).
-const char* outcomeKey(CrashOutcome outcome) {
-  switch (outcome) {
-    case CrashOutcome::Recovered: return "recovered";
-    case CrashOutcome::NeedsRepair: return "needs-repair";
-    case CrashOutcome::SilentCorruption: return "silent-corruption";
-    case CrashOutcome::DataLoss: return "data-loss";
-  }
-  return "?";
-}
-
-std::optional<CrashOutcome> outcomeFromKey(std::string_view key) {
-  if (key == "recovered") return CrashOutcome::Recovered;
-  if (key == "needs-repair") return CrashOutcome::NeedsRepair;
-  if (key == "silent-corruption") return CrashOutcome::SilentCorruption;
-  if (key == "data-loss") return CrashOutcome::DataLoss;
-  return std::nullopt;
-}
-
-}  // namespace
-
-// --- Configuration JSON round-trip ------------------------------------
-
-namespace {
-
-const char* dataModeName(DataMode mode) {
-  switch (mode) {
-    case DataMode::Ordered: return "ordered";
-    case DataMode::Journal: return "journal";
-    case DataMode::Writeback: return "writeback";
-  }
-  return "ordered";
-}
-
-DataMode dataModeFromName(std::string_view name) {
-  if (name == "journal") return DataMode::Journal;
-  if (name == "writeback") return DataMode::Writeback;
-  return DataMode::Ordered;
-}
-
-bool readBool(const json::Object& obj, const char* key, bool fallback) {
-  const json::Value* v = obj.find(key);
-  return (v != nullptr && v->isBool()) ? v->asBool() : fallback;
-}
-
-}  // namespace
-
-json::Object generatedConfigToJson(const GeneratedConfig& config) {
-  json::Object doc;
-  {
-    const MkfsOptions& m = config.mkfs;
-    json::Object mkfs;
-    mkfs["size_blocks"] = static_cast<std::uint64_t>(m.size_blocks);
-    mkfs["block_size"] = static_cast<std::uint64_t>(m.block_size);
-    mkfs["inode_size"] = static_cast<std::uint64_t>(m.inode_size);
-    mkfs["inode_ratio"] = static_cast<std::uint64_t>(m.inode_ratio);
-    mkfs["reserved_ratio"] = static_cast<std::uint64_t>(m.reserved_ratio);
-    mkfs["blocks_per_group"] = static_cast<std::uint64_t>(m.blocks_per_group);
-    mkfs["label"] = m.label;
-    mkfs["sparse_super"] = m.sparse_super;
-    mkfs["sparse_super2"] = m.sparse_super2;
-    mkfs["resize_inode"] = m.resize_inode;
-    mkfs["resize_limit_blocks"] = static_cast<std::uint64_t>(m.resize_limit_blocks);
-    mkfs["meta_bg"] = m.meta_bg;
-    mkfs["extents"] = m.extents;
-    mkfs["has_64bit"] = m.has_64bit;
-    mkfs["quota"] = m.quota;
-    mkfs["has_journal"] = m.has_journal;
-    mkfs["uninit_bg"] = m.uninit_bg;
-    mkfs["metadata_csum"] = m.metadata_csum;
-    mkfs["flex_bg"] = m.flex_bg;
-    mkfs["inline_data"] = m.inline_data;
-    mkfs["encrypt"] = m.encrypt;
-    mkfs["bigalloc"] = m.bigalloc;
-    mkfs["cluster_size"] = static_cast<std::uint64_t>(m.cluster_size);
-    doc["mkfs"] = std::move(mkfs);
-  }
-  {
-    const MountOptions& m = config.mount;
-    json::Object mount;
-    mount["read_only"] = m.read_only;
-    mount["dax"] = m.dax;
-    mount["data_mode"] = dataModeName(m.data_mode);
-    mount["noload"] = m.noload;
-    mount["commit_interval"] = static_cast<std::uint64_t>(m.commit_interval);
-    mount["stripe"] = static_cast<std::uint64_t>(m.stripe);
-    mount["inode_readahead_blks"] = static_cast<std::uint64_t>(m.inode_readahead_blks);
-    mount["max_batch_time"] = static_cast<std::uint64_t>(m.max_batch_time);
-    mount["min_batch_time"] = static_cast<std::uint64_t>(m.min_batch_time);
-    mount["journal_checksum"] = m.journal_checksum;
-    mount["journal_async_commit"] = m.journal_async_commit;
-    mount["dioread_nolock"] = m.dioread_nolock;
-    mount["delalloc"] = m.delalloc;
-    mount["auto_da_alloc"] = m.auto_da_alloc;
-    doc["mount"] = std::move(mount);
-  }
-  {
-    const TuneOptions& t = config.tune;
-    json::Object tune;
-    if (t.has_journal.has_value()) tune["has_journal"] = *t.has_journal;
-    if (t.metadata_csum.has_value()) tune["metadata_csum"] = *t.metadata_csum;
-    if (t.uninit_bg.has_value()) tune["uninit_bg"] = *t.uninit_bg;
-    if (t.quota.has_value()) tune["quota"] = *t.quota;
-    if (t.sparse_super2.has_value()) tune["sparse_super2"] = *t.sparse_super2;
-    if (t.max_mount_count.has_value())
-      tune["max_mount_count"] = static_cast<std::uint64_t>(*t.max_mount_count);
-    if (t.reserved_blocks_count.has_value())
-      tune["reserved_blocks_count"] = static_cast<std::uint64_t>(*t.reserved_blocks_count);
-    if (t.label.has_value()) tune["label"] = *t.label;
-    doc["tune"] = std::move(tune);
-  }
-  doc["resize_target"] = static_cast<std::uint64_t>(config.resize_target);
-  return doc;
-}
-
-Result<GeneratedConfig> generatedConfigFromJson(const json::Value& value) {
-  if (!value.isObject()) return makeError("campaign: config must be a JSON object");
-  const json::Object& doc = value.asObject();
-  GeneratedConfig config;
-  const char* bad_key = nullptr;  // the first value that does not fit its field
-  if (const json::Value* v = doc.find("mkfs"); v != nullptr && v->isObject()) {
-    const json::Object& obj = v->asObject();
-    MkfsOptions& m = config.mkfs;
-    m.size_blocks = readUint(obj, "size_blocks", m.size_blocks, bad_key);
-    m.block_size = readUint(obj, "block_size", m.block_size, bad_key);
-    m.inode_size = readUint(obj, "inode_size", m.inode_size, bad_key);
-    m.inode_ratio = readUint(obj, "inode_ratio", m.inode_ratio, bad_key);
-    m.reserved_ratio = readUint(obj, "reserved_ratio", m.reserved_ratio, bad_key);
-    m.blocks_per_group = readUint(obj, "blocks_per_group", m.blocks_per_group, bad_key);
-    if (const json::Value* s = obj.find("label"); s != nullptr && s->isString())
-      m.label = s->asString();
-    m.sparse_super = readBool(obj, "sparse_super", m.sparse_super);
-    m.sparse_super2 = readBool(obj, "sparse_super2", m.sparse_super2);
-    m.resize_inode = readBool(obj, "resize_inode", m.resize_inode);
-    m.resize_limit_blocks = readUint(obj, "resize_limit_blocks", m.resize_limit_blocks, bad_key);
-    m.meta_bg = readBool(obj, "meta_bg", m.meta_bg);
-    m.extents = readBool(obj, "extents", m.extents);
-    m.has_64bit = readBool(obj, "has_64bit", m.has_64bit);
-    m.quota = readBool(obj, "quota", m.quota);
-    m.has_journal = readBool(obj, "has_journal", m.has_journal);
-    m.uninit_bg = readBool(obj, "uninit_bg", m.uninit_bg);
-    m.metadata_csum = readBool(obj, "metadata_csum", m.metadata_csum);
-    m.flex_bg = readBool(obj, "flex_bg", m.flex_bg);
-    m.inline_data = readBool(obj, "inline_data", m.inline_data);
-    m.encrypt = readBool(obj, "encrypt", m.encrypt);
-    m.bigalloc = readBool(obj, "bigalloc", m.bigalloc);
-    m.cluster_size = readUint(obj, "cluster_size", m.cluster_size, bad_key);
-  }
-  if (const json::Value* v = doc.find("mount"); v != nullptr && v->isObject()) {
-    const json::Object& obj = v->asObject();
-    MountOptions& m = config.mount;
-    m.read_only = readBool(obj, "read_only", m.read_only);
-    m.dax = readBool(obj, "dax", m.dax);
-    if (const json::Value* s = obj.find("data_mode"); s != nullptr && s->isString())
-      m.data_mode = dataModeFromName(s->asString());
-    m.noload = readBool(obj, "noload", m.noload);
-    m.commit_interval = readUint(obj, "commit_interval", m.commit_interval, bad_key);
-    m.stripe = readUint(obj, "stripe", m.stripe, bad_key);
-    m.inode_readahead_blks = readUint(obj, "inode_readahead_blks", m.inode_readahead_blks, bad_key);
-    m.max_batch_time = readUint(obj, "max_batch_time", m.max_batch_time, bad_key);
-    m.min_batch_time = readUint(obj, "min_batch_time", m.min_batch_time, bad_key);
-    m.journal_checksum = readBool(obj, "journal_checksum", m.journal_checksum);
-    m.journal_async_commit = readBool(obj, "journal_async_commit", m.journal_async_commit);
-    m.dioread_nolock = readBool(obj, "dioread_nolock", m.dioread_nolock);
-    m.delalloc = readBool(obj, "delalloc", m.delalloc);
-    m.auto_da_alloc = readBool(obj, "auto_da_alloc", m.auto_da_alloc);
-  }
-  if (const json::Value* v = doc.find("tune"); v != nullptr && v->isObject()) {
-    const json::Object& obj = v->asObject();
-    TuneOptions& t = config.tune;
-    if (const json::Value* b = obj.find("has_journal"); b != nullptr && b->isBool())
-      t.has_journal = b->asBool();
-    if (const json::Value* b = obj.find("metadata_csum"); b != nullptr && b->isBool())
-      t.metadata_csum = b->asBool();
-    if (const json::Value* b = obj.find("uninit_bg"); b != nullptr && b->isBool())
-      t.uninit_bg = b->asBool();
-    if (const json::Value* b = obj.find("quota"); b != nullptr && b->isBool())
-      t.quota = b->asBool();
-    if (const json::Value* b = obj.find("sparse_super2"); b != nullptr && b->isBool())
-      t.sparse_super2 = b->asBool();
-    if (const json::Value* n = obj.find("max_mount_count"); n != nullptr && n->isInt())
-      t.max_mount_count = readUint(obj, "max_mount_count", std::uint16_t{0}, bad_key);
-    if (const json::Value* n = obj.find("reserved_blocks_count"); n != nullptr && n->isInt())
-      t.reserved_blocks_count = readUint(obj, "reserved_blocks_count", std::uint32_t{0}, bad_key);
-    if (const json::Value* s = obj.find("label"); s != nullptr && s->isString())
-      t.label = s->asString();
-  }
-  config.resize_target = readUint(doc, "resize_target", config.resize_target, bad_key);
-  if (bad_key != nullptr) {
-    return makeError(std::string("campaign: config value '") + bad_key +
-                     "' does not fit its field");
-  }
-  return config;
 }
 
 // --- Op table ----------------------------------------------------------
@@ -734,7 +540,7 @@ Result<CampaignReport> runMatrixCampaign(const CampaignOptions& options,
         kCellRetries);
     registry.counter("campaign.cells", {{"op", cell.op}}).add();
     if (result.status == CellStatus::Done) {
-      registry.counter("campaign.outcome", {{"outcome", outcomeKey(result.outcome)}}).add();
+      registry.counter("campaign.outcome", {{"outcome", crashOutcomeKey(result.outcome)}}).add();
     } else {
       registry.counter("campaign.failed_cells").add();
       FSDEP_LOG_WARN("campaign", "cell %zu (%s, config %zu) failed: %s", i, cell.op.c_str(),
@@ -831,11 +637,8 @@ int CampaignReport::totalFailed() const {
 }
 
 std::string CampaignReport::histogram() const {
-  return "recovered=" + std::to_string(totalOf(CrashOutcome::Recovered)) +
-         " needs-repair=" + std::to_string(totalOf(CrashOutcome::NeedsRepair)) +
-         " silent-corruption=" + std::to_string(totalOf(CrashOutcome::SilentCorruption)) +
-         " data-loss=" + std::to_string(totalOf(CrashOutcome::DataLoss)) +
-         " failed=" + std::to_string(totalFailed());
+  return outcomeHistogram([this](CrashOutcome outcome) { return totalOf(outcome); }) + " " +
+         cellStatusName(CellStatus::Failed) + "=" + std::to_string(totalFailed());
 }
 
 std::string CampaignReport::summary() const {
@@ -867,7 +670,7 @@ std::string CampaignReport::renderText() const {
     const CellResult& result = results[i];
     if (result.status != CellStatus::Done || result.duplicate) continue;
     const CampaignCell& cell = cells[i];
-    text += "  " + cell.op + " " + std::string(outcomeKey(result.outcome)) + " digest " +
+    text += "  " + cell.op + " " + std::string(crashOutcomeKey(result.outcome)) + " digest " +
             digestHex(result.digest) + " x" + std::to_string(class_size[i]) + "  (cell #" +
             std::to_string(i) + ", config " + std::to_string(cell.config_index) + ", " +
             faultScheduleSummary(cell.schedule) + ")";
@@ -891,7 +694,7 @@ std::string CampaignReport::renderText() const {
   if (!repros.empty()) {
     text += "minimized reproducers (" + std::to_string(repros.size()) + "):\n";
     for (const MinimizedRepro& repro : repros)
-      text += "  " + repro.op + " " + std::string(outcomeKey(repro.outcome)) + " digest " +
+      text += "  " + repro.op + " " + std::string(crashOutcomeKey(repro.outcome)) + " digest " +
               digestHex(repro.digest) + " config " + std::to_string(repro.config_index) + ": " +
               faultScheduleSummary(repro.schedule) + "  [" +
               std::to_string(repro.schedule.size()) + " event(s), " +
@@ -944,7 +747,7 @@ json::Object CampaignReport::toJson() const {
       const CellResult& result = results[i];
       obj["status"] = cellStatusName(result.status);
       if (result.status == CellStatus::Done) {
-        obj["outcome"] = outcomeKey(result.outcome);
+        obj["outcome"] = crashOutcomeKey(result.outcome);
         obj["digest"] = digestHex(result.digest);
         obj["duplicate"] = result.duplicate;
         if (result.duplicate) obj["first_cell"] = static_cast<std::uint64_t>(result.first_cell);
@@ -971,7 +774,7 @@ json::Object reproToJson(const MinimizedRepro& repro, const GeneratedConfig& con
   doc["version"] = kCampaignCorpusVersion;
   doc["kind"] = "campaign-repro";
   doc["op"] = repro.op;
-  doc["outcome"] = outcomeKey(repro.outcome);
+  doc["outcome"] = crashOutcomeKey(repro.outcome);
   doc["digest"] = digestHex(repro.digest);
   doc["seed"] = static_cast<std::uint64_t>(seed);
   doc["detail"] = repro.detail;
@@ -992,7 +795,7 @@ Result<std::vector<std::string>> persistCampaignCorpus(const CampaignReport& rep
   std::vector<std::string> paths;
   for (const MinimizedRepro& repro : report.repros) {
     const std::string hex = digestHex(repro.digest);
-    const std::string name = "campaign-" + repro.op + "-" + outcomeKey(repro.outcome) + "-" +
+    const std::string name = "campaign-" + repro.op + "-" + crashOutcomeKey(repro.outcome) + "-" +
                              hex.substr(2) + ".json";
     const std::filesystem::path path = std::filesystem::path(dir) / name;
     const json::Object doc =
@@ -1018,7 +821,7 @@ Result<ReplayCase> replayCorpusDocument(const json::Value& doc, const std::strin
   if (op == nullptr || !op->isString()) return makeError(file + ": missing 'op'");
   const json::Value* outcome = obj.find("outcome");
   if (outcome == nullptr || !outcome->isString()) return makeError(file + ": missing 'outcome'");
-  const std::optional<CrashOutcome> recorded = outcomeFromKey(outcome->asString());
+  const std::optional<CrashOutcome> recorded = crashOutcomeFromKey(outcome->asString());
   if (!recorded.has_value())
     return makeError(file + ": unknown outcome '" + outcome->asString() + "'");
 
@@ -1110,17 +913,8 @@ Result<ReplayReport> replayCampaignCorpus(const std::string& dir) {
 
 // --- CI gating ---------------------------------------------------------
 
-bool FailOnSet::matches(CrashOutcome outcome) const {
-  switch (outcome) {
-    case CrashOutcome::SilentCorruption: return silent_corruption;
-    case CrashOutcome::DataLoss: return data_loss;
-    case CrashOutcome::NeedsRepair: return needs_repair;
-    case CrashOutcome::Recovered: return false;
-  }
-  return false;
-}
-
 Result<FailOnSet> parseFailOn(const std::string& spec) {
+  const char* failed = cellStatusName(CellStatus::Failed);
   FailOnSet set;
   bool any = false;
   std::size_t pos = 0;
@@ -1133,17 +927,17 @@ Result<FailOnSet> parseFailOn(const std::string& spec) {
     token = first == std::string::npos ? "" : token.substr(first, last - first + 1);
     if (!token.empty()) {
       any = true;
-      if (token == "silent-corruption") {
-        set.silent_corruption = true;
-      } else if (token == "data-loss") {
-        set.data_loss = true;
-      } else if (token == "needs-repair") {
-        set.needs_repair = true;
-      } else if (token == "failed") {
+      const std::optional<CrashOutcome> outcome = crashOutcomeFromKey(token);
+      if (token == failed) {
         set.failed = true;
+      } else if (outcome.has_value() && *outcome != CrashOutcome::Recovered) {
+        set.outcomes |= 1u << static_cast<unsigned>(*outcome);
       } else {
-        return makeError("unknown --fail-on class '" + token +
-                         "' (valid: silent-corruption, data-loss, needs-repair, failed)");
+        std::string valid;
+        for (const CrashOutcomeRow& row : kCrashOutcomes) {
+          if (row.outcome != CrashOutcome::Recovered) valid += std::string(row.key) + ", ";
+        }
+        return makeError("unknown --fail-on class '" + token + "' (valid: " + valid + failed + ")");
       }
     }
     if (comma == std::string::npos) break;

@@ -23,9 +23,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "fsim/block_device.h"
@@ -44,9 +42,6 @@ enum class FaultEventKind : std::uint8_t {
   TransientWrite,   ///< a block's writes fail `failures` times, then heal
   TransientRead,    ///< a block's reads fail `failures` times, then heal
 };
-
-const char* faultEventKindName(FaultEventKind kind);
-std::optional<FaultEventKind> faultEventKindFromName(std::string_view name);
 
 /// One fault in a schedule. A schedule is an ordered list of these; the
 /// campaign generates single-crash and crash+transient combinations, and
@@ -70,12 +65,11 @@ fsim::FaultPlan compileFaultSchedule(const FaultSchedule& schedule, std::uint64_
 /// "control" for the empty schedule, else "crash@12 + transient-write(b3 x1)".
 std::string faultScheduleSummary(const FaultSchedule& schedule);
 
+/// A schedule as a reproducer file keeps it. The reader rejects an
+/// event whose kind it does not know, a key the event's kind does not
+/// carry, and a value that is not an integer its field can hold.
 json::Array faultScheduleToJson(const FaultSchedule& schedule);
 Result<FaultSchedule> faultScheduleFromJson(const json::Value& value);
-
-/// Full configuration round-trip for the on-disk corpus.
-json::Object generatedConfigToJson(const GeneratedConfig& config);
-Result<GeneratedConfig> generatedConfigFromJson(const json::Value& value);
 
 // --- Cells -------------------------------------------------------------
 
@@ -239,18 +233,16 @@ Result<ReplayCase> replayCorpusDocument(const json::Value& doc, const std::strin
 
 /// Which outcome classes turn a run into a non-zero exit (--fail-on).
 struct FailOnSet {
-  bool silent_corruption = false;
-  bool data_loss = false;
-  bool needs_repair = false;
-  bool failed = false;  ///< campaign cells that died (not a CrashOutcome)
+  std::uint8_t outcomes = 0;  ///< bit 1 << CrashOutcome for each outcome named
+  bool failed = false;        ///< campaign cells that died (not a CrashOutcome)
 
-  [[nodiscard]] bool empty() const {
-    return !silent_corruption && !data_loss && !needs_repair && !failed;
+  [[nodiscard]] bool matches(CrashOutcome outcome) const {
+    return ((outcomes >> static_cast<unsigned>(outcome)) & 1u) != 0;
   }
-  [[nodiscard]] bool matches(CrashOutcome outcome) const;
 };
 
-/// Parses "silent-corruption,data-loss[,needs-repair,failed]".
+/// Parses a comma-separated list of outcome keys (all but recovered)
+/// and "failed", e.g. "silent-corruption,data-loss".
 Result<FailOnSet> parseFailOn(const std::string& spec);
 
 }  // namespace fsdep::tools

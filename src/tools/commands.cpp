@@ -273,9 +273,8 @@ std::string renderDeps(const std::vector<model::Dependency>& deps, bool as_json,
 /// True when a --fail-on class occurred in `report`: the run exits 3.
 template <typename Report>
 bool failOnHit(const FailOnSet& fail_on, const Report& report) {
-  for (const CrashOutcome outcome :
-       {CrashOutcome::NeedsRepair, CrashOutcome::SilentCorruption, CrashOutcome::DataLoss}) {
-    if (fail_on.matches(outcome) && report.totalOf(outcome) > 0) return true;
+  for (const CrashOutcomeRow& row : kCrashOutcomes) {
+    if (fail_on.matches(row.outcome) && report.totalOf(row.outcome) > 0) return true;
   }
   return false;
 }
@@ -372,12 +371,10 @@ CommandResult cmdCrashCk(const Options& options, const CommandContext&) {
 
   CommandResult result;
   result.facts["crashck_summary"] = report.summary();
-  for (const auto& [fact, outcome] :
-       {std::pair{"crashck_recovered", CrashOutcome::Recovered},
-        std::pair{"crashck_needs_repair", CrashOutcome::NeedsRepair},
-        std::pair{"crashck_silent_corruption", CrashOutcome::SilentCorruption},
-        std::pair{"crashck_data_loss", CrashOutcome::DataLoss}}) {
-    result.facts[fact] = static_cast<std::uint64_t>(report.totalOf(outcome));
+  for (const CrashOutcomeRow& row : kCrashOutcomes) {
+    std::string fact = std::string("crashck_") + row.key;  // crashck_silent_corruption
+    std::ranges::replace(fact, '-', '_');
+    result.facts[fact] = static_cast<std::uint64_t>(report.totalOf(row.outcome));
   }
   result.exit_code = failOnHit(fail_on.value(), report) ? 3 : 0;
 

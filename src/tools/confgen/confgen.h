@@ -18,9 +18,10 @@
 //                  dependency set, so campaigns spend their cells on
 //                  configurations that get past shallow validation.
 //
-// Both consumers of dependencies reach a configuration through one
-// table, paramBindings(): each row binds a registry parameter name
-// ("mke2fs.sparse_super2") to the GeneratedConfig field it drives.
+// Each GeneratedConfig field is one row of a table: its section and key
+// in a reproducer file, its member and, if fsim can drive it, its
+// registry parameter. The corpus writer and reader walk the rows, and
+// paramBindings() is the view of the rows that name a parameter:
 // repairConfig() uses it to satisfy dependencies, ConHandleCk to
 // violate them.
 #pragma once
@@ -34,7 +35,9 @@
 #include "fsim/mkfs.h"
 #include "fsim/mount.h"
 #include "fsim/tune.h"
+#include "json/json.h"
 #include "model/dependency.h"
+#include "support/result.h"
 
 namespace fsdep::tools {
 
@@ -44,6 +47,13 @@ struct GeneratedConfig {
   fsim::TuneOptions tune;
   std::uint32_t resize_target = 0;  ///< 0 = no resize step
 };
+
+/// The configuration as a reproducer file keeps it (corpus format v1),
+/// and back. A missing key keeps its default; a key no field has, a
+/// value of the wrong JSON type or one its field cannot hold (a number
+/// out of range, an unknown data mode) fails, naming the key.
+json::Object generatedConfigToJson(const GeneratedConfig& config);
+Result<GeneratedConfig> generatedConfigFromJson(const json::Value& value);
 
 // --- Parameters as data ------------------------------------------------
 
@@ -64,7 +74,8 @@ struct ParamBinding {
   }
 };
 
-/// Every fsim-drivable parameter, one row each.
+/// Every fsim-drivable parameter: the fields that name one, then the
+/// data-mode selectors mount.data_journal and mount.data_writeback.
 std::span<const ParamBinding> paramBindings();
 
 /// The row for `name`, or nullptr when fsim cannot drive the parameter.

@@ -1,5 +1,7 @@
 #include "tools/crashck.h"
 
+#include <algorithm>
+
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,13 +16,27 @@ namespace fsdep::tools {
 using namespace fsim;
 
 const char* crashOutcomeName(CrashOutcome outcome) {
-  switch (outcome) {
-    case CrashOutcome::Recovered: return "recovered";
-    case CrashOutcome::NeedsRepair: return "needs-repair";
-    case CrashOutcome::SilentCorruption: return "SILENT-CORRUPTION";
-    case CrashOutcome::DataLoss: return "DATA-LOSS";
+  return std::ranges::find(kCrashOutcomes, outcome, &CrashOutcomeRow::outcome)->report;
+}
+
+const char* crashOutcomeKey(CrashOutcome outcome) {
+  return std::ranges::find(kCrashOutcomes, outcome, &CrashOutcomeRow::outcome)->key;
+}
+
+std::optional<CrashOutcome> crashOutcomeFromKey(std::string_view key) {
+  for (const CrashOutcomeRow& row : kCrashOutcomes) {
+    if (key == row.key) return row.outcome;
   }
-  return "?";
+  return std::nullopt;
+}
+
+std::string outcomeHistogram(const std::function<int(CrashOutcome)>& count) {
+  std::string text;
+  for (const CrashOutcomeRow& row : kCrashOutcomes) {
+    if (!text.empty()) text += ' ';
+    text += std::string(row.key) + "=" + std::to_string(count(row.outcome));
+  }
+  return text;
 }
 
 int CrashOpReport::countOf(CrashOutcome outcome) const {
@@ -30,10 +46,7 @@ int CrashOpReport::countOf(CrashOutcome outcome) const {
 }
 
 std::string CrashOpReport::histogram() const {
-  return "recovered=" + std::to_string(countOf(CrashOutcome::Recovered)) +
-         " needs-repair=" + std::to_string(countOf(CrashOutcome::NeedsRepair)) +
-         " silent-corruption=" + std::to_string(countOf(CrashOutcome::SilentCorruption)) +
-         " data-loss=" + std::to_string(countOf(CrashOutcome::DataLoss));
+  return outcomeHistogram([this](CrashOutcome outcome) { return countOf(outcome); });
 }
 
 int CrashCkReport::totalOf(CrashOutcome outcome) const {
@@ -46,10 +59,8 @@ std::string CrashCkReport::summary() const {
   std::size_t points = 0;
   for (const CrashOpReport& op : ops) points += op.points.size();
   return std::to_string(ops.size()) + " op(s), " + std::to_string(points) +
-         " crash point(s): recovered=" + std::to_string(totalOf(CrashOutcome::Recovered)) +
-         " needs-repair=" + std::to_string(totalOf(CrashOutcome::NeedsRepair)) +
-         " silent-corruption=" + std::to_string(totalOf(CrashOutcome::SilentCorruption)) +
-         " data-loss=" + std::to_string(totalOf(CrashOutcome::DataLoss));
+         " crash point(s): " +
+         outcomeHistogram([this](CrashOutcome outcome) { return totalOf(outcome); });
 }
 
 namespace {

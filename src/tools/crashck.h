@@ -12,7 +12,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fsim/block_device.h"
@@ -28,7 +31,29 @@ enum class CrashOutcome : std::uint8_t {
   DataLoss,          ///< metadata consistent but the canary file is gone
 };
 
-const char* crashOutcomeName(CrashOutcome outcome);
+/// One row per outcome, best to worst: its key (reproducer files, the
+/// campaign report, --fail-on) and its report name, which shouts the
+/// two outcomes that lie to the user.
+struct CrashOutcomeRow {
+  CrashOutcome outcome;
+  const char* key;
+  const char* report;
+};
+
+inline constexpr CrashOutcomeRow kCrashOutcomes[] = {
+    {CrashOutcome::Recovered, "recovered", "recovered"},
+    {CrashOutcome::NeedsRepair, "needs-repair", "needs-repair"},
+    {CrashOutcome::SilentCorruption, "silent-corruption", "SILENT-CORRUPTION"},
+    {CrashOutcome::DataLoss, "data-loss", "DATA-LOSS"},
+};
+
+const char* crashOutcomeName(CrashOutcome outcome);  ///< the report name
+const char* crashOutcomeKey(CrashOutcome outcome);
+std::optional<CrashOutcome> crashOutcomeFromKey(std::string_view key);
+
+/// "recovered=N needs-repair=N silent-corruption=N data-loss=N", each N
+/// read from `count`.
+std::string outcomeHistogram(const std::function<int(CrashOutcome)>& count);
 
 /// A file planted before the operation under test; its survival
 /// distinguishes Recovered from DataLoss.
@@ -50,7 +75,7 @@ struct CrashOpReport {
   std::vector<CrashPoint> points;  ///< total_writes crash points + 1 control
 
   [[nodiscard]] int countOf(CrashOutcome outcome) const;
-  /// "recovered=12 needs-repair=3 silent-corruption=0 data-loss=0"
+  /// outcomeHistogram() of the points
   [[nodiscard]] std::string histogram() const;
 };
 

@@ -202,19 +202,29 @@ TEST(ConBugCk, RepairedConfigsArePinned) {
   // Seeded random configurations repaired against Table 5, then the
   // whole sampled matrix, each rendered as the campaign's config JSON
   // and digested: every field repair writes is covered, not only the
-  // ones a campaign or bugck run happens to reach.
+  // ones a campaign or bugck run happens to reach. Each must also read
+  // back to the same bytes, as a replayed reproducer does.
   const std::vector<Dependency> deps = corpus::runTable5().unique_deps;
+  const auto rendered = [](const GeneratedConfig& config) {
+    const std::string text = json::writeCompact(generatedConfigToJson(config));
+    const Result<GeneratedConfig> read = generatedConfigFromJson(json::parse(text).value());
+    EXPECT_TRUE(read.ok()) << text << ": " << read.error().message;
+    if (read.ok()) {
+      EXPECT_EQ(json::writeCompact(generatedConfigToJson(read.value())), text);
+    }
+    return text;
+  };
   std::string text;
   for (const std::uint64_t seed : {1u, 42u, 99u}) {
     ConfigGenerator gen(seed);
     for (int i = 0; i < 200; ++i) {
       GeneratedConfig config = gen.randomConfig();
       repairConfig(config, deps);
-      text += json::writeCompact(generatedConfigToJson(config)) + "\n";
+      text += rendered(config) + "\n";
     }
   }
   for (const SampledConfig& row : sampleConfigMatrix(SamplingOptions{}, deps)) {
-    text += row.origin + " " + json::writeCompact(generatedConfigToJson(row.config)) + "\n";
+    text += row.origin + " " + rendered(row.config) + "\n";
   }
   EXPECT_EQ(golden::hex(corpus::contentDigest(text)), "0x759bffbc25a59e27");
 }
