@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -18,9 +19,9 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Process-wide device traffic, aggregated over every BlockDevice in the
-// run (CrashCk creates thousands of short-lived devices; per-instance
-// numbers stay available via readCount()/writeCount()).
+// Process-wide device traffic, the sum over every BlockDevice of the run
+// (CrashCk creates thousands of short-lived devices). Each device adds its
+// own counts once, when it is destroyed.
 obs::Counter& writesCounter() {
   static obs::Counter& c = obs::Registry::global().counter("fsim.device.writes");
   return c;
@@ -156,9 +157,8 @@ void BlockDevice::attemptWrite(std::uint64_t offset, std::span<const std::uint8_
     }
   }
   copyIn(offset, data);
-  ++writes_;
+  ++traffic_.writes;
   ++plan_write_index_;
-  writesCounter().add();
 }
 
 void BlockDevice::attemptRead(std::uint64_t offset, std::span<std::uint8_t> out) const {
@@ -174,13 +174,7 @@ void BlockDevice::attemptRead(std::uint64_t offset, std::span<std::uint8_t> out)
     }
   }
   copyOut(offset, out);
-  ++reads_;
-  readsCounter().add();
-}
-
-void BlockDevice::noteRetry() const {
-  ++retries_;
-  retriesCounter().add();
+  ++traffic_.reads;
 }
 
 void BlockDevice::readRetrying(std::uint64_t offset, std::span<std::uint8_t> out) const {
@@ -190,7 +184,7 @@ void BlockDevice::readRetrying(std::uint64_t offset, std::span<std::uint8_t> out
       return;
     } catch (const IoError&) {
       if (frozen_ || attempt >= kMaxAttempts) throw;
-      noteRetry();
+      ++traffic_.retries;
     }
   }
 }
@@ -202,7 +196,7 @@ void BlockDevice::writeRetrying(std::uint64_t offset, std::span<const std::uint8
       return;
     } catch (const IoError&) {
       if (frozen_ || dead_ || attempt >= kMaxAttempts) throw;
-      noteRetry();
+      ++traffic_.retries;
     }
   }
 }
@@ -272,10 +266,17 @@ void BlockDevice::clearFaults() {
   plan_write_index_ = 0;
 }
 
-void BlockDevice::resetStats() {
-  reads_ = 0;
-  writes_ = 0;
-  retries_ = 0;
+BlockDevice::Traffic::Traffic(Traffic&& other) noexcept
+    : reads(std::exchange(other.reads, 0)),
+      writes(std::exchange(other.writes, 0)),
+      retries(std::exchange(other.retries, 0)) {}
+
+BlockDevice::Traffic::~Traffic() {
+  // A zero count adds nothing, so a series appears only once some device
+  // has counted one event of its kind.
+  if (reads != 0) readsCounter().add(reads);
+  if (writes != 0) writesCounter().add(writes);
+  if (retries != 0) retriesCounter().add(retries);
 }
 
 }  // namespace fsdep::fsim

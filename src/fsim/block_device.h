@@ -10,6 +10,10 @@
 // 2^32 - 1 blocks. Sparsity is invisible to callers: every read, write,
 // fault and counter below behaves as on a zero-filled medium.
 //
+// A device counts its own reads, writes and retries and adds them to the
+// process-wide fsim.device.* counters once, when it goes away, so the
+// worker threads of a campaign share no counter on each access.
+//
 // Fault model
 //   - A FaultPlan is the one fault schedule, installed with
 //     setFaultPlan(). Every run is replayable from the (plan, seed)
@@ -114,26 +118,22 @@ class BlockDevice {
   /// clearFaults().
   [[nodiscard]] bool frozen() const { return frozen_; }
   /// Removes all faults: the fault plan and the frozen/dead latches.
-  /// Statistics are NOT touched (see resetStats).
+  /// The counters below are not touched.
   void clearFaults();
 
   // --- Statistics ---------------------------------------------------
-  [[nodiscard]] std::uint64_t readCount() const { return reads_; }
-  [[nodiscard]] std::uint64_t writeCount() const { return writes_; }
+  [[nodiscard]] std::uint64_t readCount() const { return traffic_.reads; }
+  [[nodiscard]] std::uint64_t writeCount() const { return traffic_.writes; }
   /// Failed attempts that were retried.
-  [[nodiscard]] std::uint64_t retryCount() const { return retries_; }
+  [[nodiscard]] std::uint64_t retryCount() const { return traffic_.retries; }
   /// Persisted writes since the current fault plan was installed.
   [[nodiscard]] std::uint64_t planWriteIndex() const { return plan_write_index_; }
-  /// Zeroes the read/write/retry counters so callers can observe a
-  /// single operation. Fault state is unaffected.
-  void resetStats();
 
  private:
   void checkRange(std::uint32_t block) const;
   /// The access, retried up to kMaxAttempts; throws once it gives up.
   void readRetrying(std::uint64_t offset, std::span<std::uint8_t> out) const;
   void writeRetrying(std::uint64_t offset, std::span<const std::uint8_t> data);
-  void noteRetry() const;
   /// One attempt with the fault checks of every block in the range;
   /// throws on any fault before a byte moves (a crash's torn prefix
   /// aside).
@@ -163,9 +163,20 @@ class BlockDevice {
   bool frozen_ = false;
   bool dead_ = false;
   std::uint64_t plan_write_index_ = 0;
-  mutable std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
-  mutable std::uint64_t retries_ = 0;
+
+  /// The device's counts. They reach fsim.device.* when the device is
+  /// destroyed; a move hands them over, so a moved-from device adds
+  /// nothing.
+  struct Traffic {
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t retries = 0;
+    Traffic() = default;
+    Traffic(Traffic&& other) noexcept;
+    Traffic& operator=(Traffic&&) = delete;
+    ~Traffic();
+  };
+  mutable Traffic traffic_;
 };
 
 }  // namespace fsdep::fsim

@@ -2,24 +2,18 @@
 
 namespace fsdep::fsim {
 
-CoverageRegistry& CoverageRegistry::instance() {
-  static CoverageRegistry registry;
-  return registry;
-}
+namespace {
 
-void CoverageRegistry::hit(std::string_view point) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  points_.insert(std::string(point));
-}
+thread_local CoverageCollector* t_collector = nullptr;
 
-void CoverageRegistry::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  points_.clear();
-}
+}  // namespace
 
-std::set<std::string> CoverageRegistry::points() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return points_;
+CoverageCollector::CoverageCollector() : previous_(t_collector) { t_collector = this; }
+
+CoverageCollector::~CoverageCollector() { t_collector = previous_; }
+
+void coverPoint(std::string_view point) {
+  if (t_collector != nullptr) t_collector->points_.emplace(point);
 }
 
 }  // namespace fsdep::fsim

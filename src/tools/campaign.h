@@ -241,8 +241,13 @@ struct FailOnSet {
   }
 };
 
-/// Parses a comma-separated list of outcome keys (all but recovered)
-/// and "failed", e.g. "silent-corruption,data-loss".
-Result<FailOnSet> parseFailOn(const std::string& spec);
+/// The classes --fail-on takes, comma-separated: every outcome key but
+/// recovered, then "failed" when `with_failed` (a campaign cell that
+/// died; CrashCk has no cells that fail).
+std::string failOnClasses(bool with_failed);
+
+/// Parses a comma-separated list of the classes failOnClasses names,
+/// e.g. "silent-corruption,data-loss".
+Result<FailOnSet> parseFailOn(const std::string& spec, bool with_failed);
 
 }  // namespace fsdep::tools

@@ -21,7 +21,7 @@ CampaignResult runCampaign(int runs, bool dependency_aware,
   ConfigGenerator gen(seed);
   CampaignResult result;
   result.runs = runs;
-  CoverageRegistry::instance().reset();
+  const CoverageCollector coverage;
 
   for (int run = 0; run < runs; ++run) {
     GeneratedConfig config = dependency_aware ? gen.dependencyAwareConfig(deps) : gen.randomConfig();
@@ -71,7 +71,7 @@ CampaignResult runCampaign(int runs, bool dependency_aware,
     if (fsck.ok()) ++result.pipeline_complete;
   }
 
-  result.coverage_points = CoverageRegistry::instance().points();
+  result.coverage_points = coverage.points();
   FSDEP_LOG_INFO("conbugck",
                  "%s campaign: %d run(s), %d past mkfs, %d past mount, %d complete, "
                  "%zu coverage point(s)",

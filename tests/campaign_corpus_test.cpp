@@ -85,7 +85,10 @@ TEST(CampaignCorpus, ReplayRejectsAValueThatDoesNotFitItsField) {
   // replay the value truncated (a transient fault on block 0, a crash
   // that never fires). So must a value of the wrong JSON type, an
   // unknown data mode and a key no field has: read as the field's
-  // default, each would replay another configuration.
+  // default, each would replay another configuration. The envelope is
+  // read the same way: a digest digestHex would not write used to
+  // replay as a drift, a string seed as seed 42, and an unknown key was
+  // ignored.
   const auto top = [](json::Value& doc) -> json::Object& {
     return doc.asObject()["config"].asObject();
   };
@@ -117,6 +120,12 @@ TEST(CampaignCorpus, ReplayRejectsAValueThatDoesNotFitItsField) {
       {"block", [&](json::Value& doc) { event(doc)["block"] = std::uint64_t{3}; }},
       {"mnt", [&](json::Value& doc) { top(doc)["mnt"] = json::Object{}; }},
       {"mount", [&](json::Value& doc) { top(doc)["mount"] = json::Array{}; }},
+      {"digest", [](json::Value& doc) { doc.asObject()["digest"] = "zz"; }},
+      {"seed", [](json::Value& doc) { doc.asObject()["seed"] = "7"; }},
+      {"sede", [](json::Value& doc) { doc.asObject()["sede"] = 7; }},
+      {"seed", [](json::Value& doc) { doc.asObject()["seed"] = std::int64_t{-1}; }},
+      {"kind", [](json::Value& doc) { doc.asObject()["kind"] = "campaign-report"; }},
+      {"digest", [](json::Value& doc) { doc.asObject()["digest"] = "0x1E8A5E23CCE41E6C"; }},
   };
   for (const auto& [key, plant] : cases) {
     json::Value doc = firstCommittedRepro();

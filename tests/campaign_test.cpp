@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -382,22 +383,42 @@ TEST(CampaignTest, ReplayDetectsTamperedOutcome) {
   std::filesystem::remove_all(dir);
 }
 
-// Campaign workers run the fsim tools concurrently, and every tool
-// reports its coverage points to the one process-wide registry.
-TEST(CampaignTest, ConcurrentCoverageHitsAreAllRecorded) {
-  fsim::CoverageRegistry& registry = fsim::CoverageRegistry::instance();
-  registry.reset();
+// A run that measures coverage installs a collector on its thread; the
+// hits of that thread land in it, and nothing else does.
+TEST(CampaignTest, CoverageHitsLandInTheInstallingThreadsCollector) {
+  fsim::CoverageCollector collector;
+  for (int i = 0; i < 3000; ++i) fsim::coverPoint("test.point." + std::to_string(i % 300));
+  EXPECT_EQ(collector.points().size(), 300u);
+  EXPECT_TRUE(collector.points().contains("test.point.299"));
+  {
+    // A nested collector takes the hits while installed, then hands back.
+    const fsim::CoverageCollector inner;
+    fsim::coverPoint("test.inner");
+    EXPECT_EQ(inner.points(), std::set<std::string>{"test.inner"});
+  }
+  fsim::coverPoint("test.after-inner");
+  EXPECT_EQ(collector.points().size(), 301u);
+  EXPECT_FALSE(collector.points().contains("test.inner"));
+}
+
+// Campaign workers run fsim concurrently with no collector: their hits
+// land nowhere, and so do hits made before a collector is installed.
+TEST(CampaignTest, CoverageHitsFromOtherThreadsOrWithoutACollectorLandNowhere) {
+  fsim::coverPoint("test.before");
+  const fsim::CoverageCollector collector;
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([t] {
       for (int i = 0; i < 2000; ++i) {
-        fsim::coverPoint("test.point." + std::to_string((i * 4 + t) % 3000));
+        fsim::coverPoint("test.worker." + std::to_string((i * 4 + t) % 3000));
       }
     });
   }
+  for (int i = 0; i < 2000; ++i) fsim::coverPoint("test.own." + std::to_string(i % 10));
   for (std::thread& worker : workers) worker.join();
-  EXPECT_EQ(registry.points().size(), 3000u);
-  registry.reset();
+  std::set<std::string> expected;
+  for (int i = 0; i < 10; ++i) expected.insert("test.own." + std::to_string(i));
+  EXPECT_EQ(collector.points(), expected);
 }
 
 TEST(CampaignTest, UnknownOpIsRejected) {
@@ -406,8 +427,19 @@ TEST(CampaignTest, UnknownOpIsRejected) {
   EXPECT_FALSE(runMatrixCampaign(options, {}).ok());
 }
 
+// A reproducer keeps the seed as a JSON integer and replay refuses a
+// negative one, so a campaign refuses a seed that would be written as one.
+TEST(CampaignTest, SeedAReproducerCannotHoldIsRejected) {
+  CampaignOptions options;
+  options.seed = std::uint64_t{1} << 63;
+  const Result<CampaignReport> run = runMatrixCampaign(options, {});
+  ASSERT_FALSE(run.ok());
+  EXPECT_NE(run.error().message.find("9223372036854775808"), std::string::npos)
+      << run.error().message;
+}
+
 TEST(FailOnTest, ParsesClassLists) {
-  const Result<FailOnSet> set = parseFailOn("silent-corruption,data-loss");
+  const Result<FailOnSet> set = parseFailOn("silent-corruption,data-loss", true);
   ASSERT_TRUE(set.ok());
   EXPECT_FALSE(set.value().failed);
   EXPECT_TRUE(set.value().matches(CrashOutcome::SilentCorruption));
@@ -417,7 +449,7 @@ TEST(FailOnTest, ParsesClassLists) {
 }
 
 TEST(FailOnTest, AcceptsSpacesAndAllClasses) {
-  const Result<FailOnSet> set = parseFailOn(" needs-repair , failed ");
+  const Result<FailOnSet> set = parseFailOn(" needs-repair , failed ", true);
   ASSERT_TRUE(set.ok());
   EXPECT_TRUE(set.value().matches(CrashOutcome::NeedsRepair));
   EXPECT_FALSE(set.value().matches(CrashOutcome::SilentCorruption));
@@ -425,10 +457,23 @@ TEST(FailOnTest, AcceptsSpacesAndAllClasses) {
 }
 
 TEST(FailOnTest, RejectsUnknownAndEmpty) {
-  EXPECT_FALSE(parseFailOn("bogus").ok());
-  EXPECT_FALSE(parseFailOn("recovered").ok());  // an outcome, but never a failure
-  EXPECT_FALSE(parseFailOn("").ok());
-  EXPECT_FALSE(parseFailOn(" , ").ok());
+  for (const bool with_failed : {false, true}) {
+    EXPECT_FALSE(parseFailOn("bogus", with_failed).ok());
+    // An outcome, but never a failure.
+    EXPECT_FALSE(parseFailOn("recovered", with_failed).ok());
+    EXPECT_FALSE(parseFailOn("", with_failed).ok());
+    EXPECT_FALSE(parseFailOn(" , ", with_failed).ok());
+  }
+}
+
+// CrashCk has no cells that fail, so only the campaign takes "failed".
+TEST(FailOnTest, FailedIsACampaignClassOnly) {
+  const Result<FailOnSet> crashck = parseFailOn("data-loss,failed", false);
+  ASSERT_FALSE(crashck.ok());
+  EXPECT_EQ(crashck.error().message,
+            "unknown --fail-on class 'failed' "
+            "(valid: needs-repair, silent-corruption, data-loss)");
+  EXPECT_EQ(failOnClasses(true), "needs-repair, silent-corruption, data-loss, failed");
 }
 
 }  // namespace

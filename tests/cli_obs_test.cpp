@@ -42,6 +42,22 @@ std::string runCli(const std::string& args, const std::string& err_path = "/dev/
   return out;
 }
 
+/// Runs `args` under `timeout`, stderr to `err_path`; returns the exit
+/// status and puts stdout in `out`.
+int runCliStatus(const std::string& args, const std::string& err_path, std::string& out) {
+  const std::string command = "timeout 60 " + cliPath() + " " + args + " 2>" + err_path;
+  FILE* pipe = popen(command.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << command;
+  if (pipe == nullptr) return -1;
+  out.clear();
+  char buffer[4096];
+  std::size_t n = 0;
+  while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) out.append(buffer, n);
+  const int status = pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(status)) << command;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << path;
@@ -434,20 +450,45 @@ TEST(CliObs, UnknownArgumentsFailLoudly) {
                         Case{"xfs", "unknown command 'xfs'"},
                         Case{"nosuchcmd", "unknown command 'nosuchcmd'"},
                         Case{"profile nosuchcmd", "unknown command 'nosuchcmd'"}}) {
-    const std::string command = "timeout 60 " + cliPath() + " " + c.args + " 2>" + err_path;
-    FILE* pipe = popen(command.c_str(), "r");
-    ASSERT_NE(pipe, nullptr) << command;
     std::string out;
-    char buffer[4096];
-    std::size_t n = 0;
-    while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) out.append(buffer, n);
-    const int status = pclose(pipe);
-    ASSERT_TRUE(WIFEXITED(status)) << command;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
-    EXPECT_EQ(out, "") << command;
+    EXPECT_EQ(runCliStatus(c.args, err_path, out), 2) << c.args;
+    EXPECT_EQ(out, "") << c.args;
     const std::string err = slurp(err_path);
-    EXPECT_NE(err.find(c.message), std::string::npos) << command << "\n" << err;
+    EXPECT_NE(err.find(c.message), std::string::npos) << c.args << "\n" << err;
   }
+}
+
+TEST(CliObs, FailOnTakesEachCommandsOwnClasses) {
+  // CrashCk has no cells that fail: `crashck --fail-on failed` used to
+  // be accepted and could never fire. It is a usage error naming the
+  // class; the campaign, whose cells can fail, takes it.
+  const std::string err_path = tempPath("cli_obs_fail_on.txt");
+  const std::string crashck = "needs-repair, silent-corruption, data-loss";
+  const std::string campaign = crashck + ", failed";
+  std::string out;
+  EXPECT_EQ(runCliStatus("crashck --op tune --fail-on failed", err_path, out), 2);
+  EXPECT_EQ(slurp(err_path),
+            "crashck: unknown --fail-on class 'failed' (valid: " + crashck + ")\n");
+  EXPECT_EQ(runCliStatus("crashck --op tune --fail-on bogus", err_path, out), 2);
+  EXPECT_EQ(slurp(err_path),
+            "crashck: unknown --fail-on class 'bogus' (valid: " + crashck + ")\n");
+  EXPECT_EQ(runCliStatus("campaign --fail-on bogus", err_path, out), 2);
+  EXPECT_EQ(slurp(err_path),
+            "campaign: unknown --fail-on class 'bogus' (valid: " + campaign + ")\n");
+  EXPECT_EQ(runCliStatus("campaign --seed 42 --op tune --configs 1 --crash-points 1 "
+                         "--double-faults 0 --fail-on failed",
+                         err_path, out),
+            0);
+
+  // Each command's help names its own classes.
+  EXPECT_EQ(runCliStatus("", err_path, out), 2);
+  const std::string help = "--fail-on CLASSES     exit 3 when any comma-separated class occurred (";
+  const std::size_t crashck_help = out.find(help + crashck + ")");
+  const std::size_t campaign_help = out.find(help + campaign + ")");
+  EXPECT_NE(crashck_help, std::string::npos) << out;
+  EXPECT_NE(campaign_help, std::string::npos) << out;
+  EXPECT_LT(crashck_help, out.find("\n  campaign ")) << out;
+  EXPECT_GT(campaign_help, out.find("\n  campaign ")) << out;
 }
 
 TEST(CliObs, LogFlagControlsStderr) {
