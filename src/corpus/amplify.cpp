@@ -405,12 +405,6 @@ std::vector<std::string> amplifyCorpus(const AmplifyOptions& options) {
   return reg.names;
 }
 
-std::vector<std::string> amplifiedComponentNames() {
-  AmpRegistry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mu);
-  return reg.names;
-}
-
 void clearAmplifiedCorpus() {
   AmpRegistry& reg = registry();
   const std::lock_guard<std::mutex> lock(reg.mu);

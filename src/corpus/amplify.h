@@ -51,10 +51,6 @@ struct AmplifyOptions {
 /// components.
 std::vector<std::string> amplifyCorpus(const AmplifyOptions& options);
 
-/// Names of the currently installed amplified components (empty when the
-/// amplifier has not run).
-std::vector<std::string> amplifiedComponentNames();
-
 /// Removes all amplified components from the registry.
 void clearAmplifiedCorpus();
 

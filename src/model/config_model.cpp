@@ -12,34 +12,6 @@ const char* configStageName(ConfigStage stage) {
   return "unknown";
 }
 
-std::optional<ConfigStage> configStageFromName(std::string_view name) {
-  if (name == "create") return ConfigStage::Create;
-  if (name == "mount") return ConfigStage::Mount;
-  if (name == "online") return ConfigStage::Online;
-  if (name == "offline") return ConfigStage::Offline;
-  return std::nullopt;
-}
-
-const char* paramTypeName(ParamType type) {
-  switch (type) {
-    case ParamType::Flag: return "flag";
-    case ParamType::Integer: return "integer";
-    case ParamType::String: return "string";
-    case ParamType::Enum: return "enum";
-    case ParamType::Size: return "size";
-  }
-  return "unknown";
-}
-
-std::optional<ParamType> paramTypeFromName(std::string_view name) {
-  if (name == "flag") return ParamType::Flag;
-  if (name == "integer") return ParamType::Integer;
-  if (name == "string") return ParamType::String;
-  if (name == "enum") return ParamType::Enum;
-  if (name == "size") return ParamType::Size;
-  return std::nullopt;
-}
-
 const Parameter* Component::findParameter(std::string_view param_name) const {
   for (const Parameter& p : parameters) {
     if (p.name == param_name) return &p;
@@ -62,12 +34,6 @@ const Parameter* Ecosystem::findParameter(std::string_view qualified_name) const
   const Component* c = findComponent(qualified_name.substr(0, dot));
   if (c == nullptr) return nullptr;
   return c->findParameter(qualified_name.substr(dot + 1));
-}
-
-std::size_t Ecosystem::totalParameterCount() const {
-  std::size_t n = 0;
-  for (const Component& c : components_) n += c.parameters.size();
-  return n;
 }
 
 }  // namespace fsdep::model

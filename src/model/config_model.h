@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,7 +15,6 @@ namespace fsdep::model {
 enum class ConfigStage : std::uint8_t { Create, Mount, Online, Offline };
 
 const char* configStageName(ConfigStage stage);
-std::optional<ConfigStage> configStageFromName(std::string_view name);
 
 /// Value domain of a parameter.
 enum class ParamType : std::uint8_t {
@@ -26,9 +24,6 @@ enum class ParamType : std::uint8_t {
   Enum,     ///< one of a fixed set (e.g. data=journal|ordered|writeback)
   Size,     ///< byte/block size with unit suffixes (e.g. resize2fs <size>)
 };
-
-const char* paramTypeName(ParamType type);
-std::optional<ParamType> paramTypeFromName(std::string_view name);
 
 /// One configuration parameter of one component.
 struct Parameter {
@@ -65,8 +60,6 @@ class Ecosystem {
 
   /// Looks up "component.param". Returns nullptr when unknown.
   [[nodiscard]] const Parameter* findParameter(std::string_view qualified_name) const;
-
-  [[nodiscard]] std::size_t totalParameterCount() const;
 
  private:
   std::vector<Component> components_;

@@ -2,42 +2,6 @@
 
 namespace fsdep::model {
 
-json::Value toJson(const Parameter& param) {
-  json::Object o;
-  o["component"] = param.component;
-  o["name"] = param.name;
-  o["flag"] = param.flag;
-  o["type"] = paramTypeName(param.type);
-  o["stage"] = configStageName(param.stage);
-  if (!param.description.empty()) o["description"] = param.description;
-  if (!param.enum_values.empty()) {
-    json::Array values;
-    for (const std::string& v : param.enum_values) values.emplace_back(v);
-    o["enum_values"] = std::move(values);
-  }
-  return o;
-}
-
-json::Value toJson(const Component& component) {
-  json::Object o;
-  o["name"] = component.name;
-  o["stage"] = configStageName(component.stage);
-  o["is_kernel"] = component.is_kernel;
-  if (!component.description.empty()) o["description"] = component.description;
-  json::Array params;
-  for (const Parameter& p : component.parameters) params.push_back(toJson(p));
-  o["parameters"] = std::move(params);
-  return o;
-}
-
-json::Value toJson(const Ecosystem& ecosystem) {
-  json::Object o;
-  json::Array comps;
-  for (const Component& c : ecosystem.components()) comps.push_back(toJson(c));
-  o["components"] = std::move(comps);
-  return o;
-}
-
 json::Value toJson(const Dependency& dep) {
   json::Object o;
   o["id"] = dep.id;
@@ -75,56 +39,6 @@ std::string getString(const json::Object& o, std::string_view key) {
 }
 
 }  // namespace
-
-Result<Parameter> parameterFromJson(const json::Value& value) {
-  if (!value.isObject()) return makeError("parameter: expected object");
-  const json::Object& o = value.asObject();
-  Parameter p;
-  p.component = getString(o, "component");
-  p.name = getString(o, "name");
-  p.flag = getString(o, "flag");
-  if (p.name.empty()) return makeError("parameter: missing name");
-  if (auto t = paramTypeFromName(getString(o, "type"))) p.type = *t;
-  else return makeError("parameter " + p.name + ": bad type");
-  if (auto s = configStageFromName(getString(o, "stage"))) p.stage = *s;
-  p.description = getString(o, "description");
-  if (const json::Value* ev = o.find("enum_values"); ev != nullptr && ev->isArray()) {
-    for (const json::Value& v : ev->asArray()) p.enum_values.push_back(v.asString());
-  }
-  return p;
-}
-
-Result<Component> componentFromJson(const json::Value& value) {
-  if (!value.isObject()) return makeError("component: expected object");
-  const json::Object& o = value.asObject();
-  Component c;
-  c.name = getString(o, "name");
-  if (c.name.empty()) return makeError("component: missing name");
-  if (auto s = configStageFromName(getString(o, "stage"))) c.stage = *s;
-  if (const json::Value* k = o.find("is_kernel")) c.is_kernel = k->asBool();
-  c.description = getString(o, "description");
-  if (const json::Value* params = o.find("parameters"); params != nullptr && params->isArray()) {
-    for (const json::Value& pv : params->asArray()) {
-      Result<Parameter> p = parameterFromJson(pv);
-      if (!p.ok()) return p.error();
-      c.parameters.push_back(std::move(p).take());
-    }
-  }
-  return c;
-}
-
-Result<Ecosystem> ecosystemFromJson(const json::Value& value) {
-  if (!value.isObject()) return makeError("ecosystem: expected object");
-  Ecosystem eco;
-  const json::Value* comps = value.asObject().find("components");
-  if (comps == nullptr || !comps->isArray()) return makeError("ecosystem: missing components");
-  for (const json::Value& cv : comps->asArray()) {
-    Result<Component> c = componentFromJson(cv);
-    if (!c.ok()) return c.error();
-    eco.addComponent(std::move(c).take());
-  }
-  return eco;
-}
 
 Result<Dependency> dependencyFromJson(const json::Value& value) {
   if (!value.isObject()) return makeError("dependency: expected object");

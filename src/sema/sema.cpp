@@ -380,20 +380,6 @@ ExprType Sema::computeType(Expr& expr) {
   return type;
 }
 
-std::optional<SemType> Sema::typeOf(const Expr& expr) {
-  const ExprType& t = expr.sema_type;
-  if (!t.resolved) return std::nullopt;
-  SemType out;
-  out.base = t.base;
-  out.is_unsigned = t.is_unsigned;
-  out.is_const = t.is_const;
-  if (t.name != nullptr) out.name = *t.name;
-  out.pointer_depth = t.pointer_depth;
-  out.is_array = t.is_array;
-  out.array_size = t.array_size;
-  return out;
-}
-
 std::optional<std::int64_t> Sema::foldConstant(const Expr& expr) const {
   switch (expr.kind()) {
     case ExprKind::IntLiteral:

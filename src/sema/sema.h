@@ -19,9 +19,6 @@
 
 namespace fsdep::sema {
 
-/// Resolved (semantic) type: a TypeSpec with typedefs flattened away.
-using SemType = ast::TypeSpec;
-
 class Sema {
  public:
   Sema(ast::TranslationUnit& tu, DiagnosticEngine& diags);
@@ -29,10 +26,6 @@ class Sema {
   /// Runs all of sema over the translation unit. Returns false when hard
   /// errors were found (diags has details).
   bool run();
-
-  /// Resolved type of an expression (valid after run()); nullopt when the
-  /// expression never got a type (e.g. unresolved identifier).
-  [[nodiscard]] static std::optional<SemType> typeOf(const ast::Expr& expr);
 
   /// Folds an integer-constant expression using enum values and literals.
   /// Returns nullopt when the expression is not constant.

@@ -5,34 +5,10 @@
 
 namespace fsdep {
 
-std::vector<std::string_view> splitString(std::string_view text, char sep) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 std::string_view trimString(std::string_view text) {
   while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front()))) text.remove_prefix(1);
   while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back()))) text.remove_suffix(1);
   return text;
-}
-
-std::string joinStrings(const std::vector<std::string>& pieces, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    if (i != 0) out += sep;
-    out += pieces[i];
-  }
-  return out;
 }
 
 std::optional<std::int64_t> parseInt64(std::string_view text) {
@@ -64,19 +40,6 @@ std::optional<std::int64_t> parseInt64(std::string_view text) {
     value = value * base + digit;
   }
   return negative ? -value : value;
-}
-
-std::string formatWithCommas(std::int64_t value) {
-  std::string digits = std::to_string(value < 0 ? -value : value);
-  std::string out;
-  const std::size_t first_group = digits.size() % 3 == 0 ? 3 : digits.size() % 3;
-  out.append(digits, 0, first_group);
-  for (std::size_t i = first_group; i < digits.size(); i += 3) {
-    out += ',';
-    out.append(digits, i, 3);
-  }
-  if (value < 0) out.insert(out.begin(), '-');
-  return out;
 }
 
 std::string formatPercent(double fraction) {

@@ -8,7 +8,6 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 namespace fsdep {
 
@@ -26,21 +25,12 @@ template <typename V>
 using TextMap = std::unordered_map<std::string, V, TextHash, std::equal_to<>>;
 using TextSet = std::unordered_set<std::string, TextHash, std::equal_to<>>;
 
-/// Splits on a single character; empty pieces are kept.
-std::vector<std::string_view> splitString(std::string_view text, char sep);
-
 /// Removes leading/trailing ASCII whitespace.
 std::string_view trimString(std::string_view text);
-
-/// Joins pieces with a separator.
-std::string joinStrings(const std::vector<std::string>& pieces, std::string_view sep);
 
 /// Parses a signed 64-bit integer in base 10/16/8 (C literal rules).
 /// Returns nullopt on any malformed input or overflow.
 std::optional<std::int64_t> parseInt64(std::string_view text);
-
-/// printf-free number formatting with thousands separators, for tables.
-std::string formatWithCommas(std::int64_t value);
 
 /// Renders `value` as a percentage string like "7.8%" with one decimal.
 std::string formatPercent(double fraction);

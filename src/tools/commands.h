@@ -46,10 +46,9 @@ struct OptionSpec {
   bool repeatable = false;
 };
 
-/// The taint-engine group (--inter, --intra) and where
-/// its default comes from when neither --inter nor --intra is given.
-/// --intra beats --inter.
-enum class Engine { None, EnvDefault, Inter };
+/// The taint-engine group (--inter, --intra) and the engine a command
+/// runs when neither is given. --intra beats --inter.
+enum class Engine { None, Intra, Inter };
 
 /// Parsed, typed option values: one slot per option of the spec they
 /// were bound against (the command's options, then any extra groups).

@@ -26,7 +26,7 @@
 // drains the pool, and a long-lived connection job would deadlock it);
 // analysis work inside a request still fans out on the ThreadPool. Warm
 // queries are answered from a response memo (`cached`: true) keyed by
-// the command and its canonical typed options (FSDEP_INTER resolved).
+// the command and its canonical typed options (the engine resolved).
 #pragma once
 
 #include <atomic>

@@ -7,21 +7,6 @@
 namespace fsdep::model {
 namespace {
 
-TEST(ConfigModel, StageNamesRoundTrip) {
-  for (const ConfigStage stage : {ConfigStage::Create, ConfigStage::Mount, ConfigStage::Online,
-                                  ConfigStage::Offline}) {
-    EXPECT_EQ(configStageFromName(configStageName(stage)), stage);
-  }
-  EXPECT_FALSE(configStageFromName("bogus").has_value());
-}
-
-TEST(ConfigModel, ParamTypeNamesRoundTrip) {
-  for (const ParamType type : {ParamType::Flag, ParamType::Integer, ParamType::String,
-                               ParamType::Enum, ParamType::Size}) {
-    EXPECT_EQ(paramTypeFromName(paramTypeName(type)), type);
-  }
-}
-
 TEST(ConfigModel, EcosystemLookup) {
   Ecosystem eco;
   Component c;
@@ -39,7 +24,6 @@ TEST(ConfigModel, EcosystemLookup) {
   EXPECT_EQ(eco.findParameter("mke2fs.blocksize")->flag, "-b");
   EXPECT_EQ(eco.findParameter("mke2fs.unknown"), nullptr);
   EXPECT_EQ(eco.findParameter("noDotHere"), nullptr);
-  EXPECT_EQ(eco.totalParameterCount(), 1u);
 }
 
 TEST(Dependency, LevelsFromKinds) {
@@ -145,29 +129,6 @@ TEST(Serialization, DependencyListRoundTrip) {
   ASSERT_EQ(decoded.value().size(), 2u);
   EXPECT_EQ(decoded.value()[0].id, "a");
   EXPECT_EQ(decoded.value()[1].bridge_field, "s.f");
-}
-
-TEST(Serialization, EcosystemRoundTrip) {
-  Ecosystem eco;
-  Component c;
-  c.name = "resize2fs";
-  c.stage = ConfigStage::Offline;
-  Parameter p;
-  p.component = "resize2fs";
-  p.name = "size";
-  p.flag = "size";
-  p.type = ParamType::Size;
-  p.stage = ConfigStage::Offline;
-  c.parameters.push_back(p);
-  eco.addComponent(std::move(c));
-
-  const auto decoded = ecosystemFromJson(toJson(eco));
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_NE(decoded.value().findComponent("resize2fs"), nullptr);
-  const Parameter* rp = decoded.value().findParameter("resize2fs.size");
-  ASSERT_NE(rp, nullptr);
-  EXPECT_EQ(rp->type, ParamType::Size);
-  EXPECT_EQ(rp->stage, ConfigStage::Offline);
 }
 
 TEST(Serialization, RejectsBadKind) {

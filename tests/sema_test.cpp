@@ -192,10 +192,10 @@ TEST(Sema, TypeOfMemberIsFieldType) {
   const FunctionDecl* fn = a.tu->findFunction("f");
   const auto* ret = static_cast<const ReturnStmt*>(
       static_cast<const CompoundStmt*>(fn->body.get())->body.at(0).get());
-  const auto type = a.sema->typeOf(*ret->value);
-  ASSERT_TRUE(type.has_value());
-  EXPECT_EQ(type->base, BaseTypeKind::Short);
-  EXPECT_TRUE(type->is_unsigned);
+  const ExprType& type = ret->value->sema_type;
+  ASSERT_TRUE(type.resolved);
+  EXPECT_EQ(type.base, BaseTypeKind::Short);
+  EXPECT_TRUE(type.is_unsigned);
 }
 
 TEST(Sema, UndeclaredIdentifierIsOnlyAWarning) {

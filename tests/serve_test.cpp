@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -209,9 +208,8 @@ TEST(ServeProtocol, FieldTheCommandDoesNotTakeIsRejected) {
 }
 
 TEST(ServeProtocol, MemoKeyIsTheCanonicalTypedOptions) {
-  // With FSDEP_INTER unset, an explicit intra and json:false run the
-  // same command the same way as leaving them out.
-  ::unsetenv("FSDEP_INTER");
+  // An explicit intra and json:false run the same command the same way
+  // as leaving them out.
   ServeDaemon daemon(ServeOptions{testSocketPath("canonical")});
   json::Object cold =
       parseResponse(daemon.handleLine(R"({"type":"extract","scenario":"s1"})"));

@@ -15,32 +15,11 @@
 namespace fsdep {
 namespace {
 
-TEST(Strings, SplitKeepsEmptyPieces) {
-  const auto pieces = splitString("a,,b,", ',');
-  ASSERT_EQ(pieces.size(), 4u);
-  EXPECT_EQ(pieces[0], "a");
-  EXPECT_EQ(pieces[1], "");
-  EXPECT_EQ(pieces[2], "b");
-  EXPECT_EQ(pieces[3], "");
-}
-
-TEST(Strings, SplitSinglePiece) {
-  const auto pieces = splitString("hello", ',');
-  ASSERT_EQ(pieces.size(), 1u);
-  EXPECT_EQ(pieces[0], "hello");
-}
-
 TEST(Strings, Trim) {
   EXPECT_EQ(trimString("  x  "), "x");
   EXPECT_EQ(trimString("\t\nabc\r "), "abc");
   EXPECT_EQ(trimString(""), "");
   EXPECT_EQ(trimString("   "), "");
-}
-
-TEST(Strings, Join) {
-  EXPECT_EQ(joinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(joinStrings({}, ","), "");
-  EXPECT_EQ(joinStrings({"solo"}, ","), "solo");
 }
 
 TEST(Strings, ParseInt64Decimal) {
@@ -64,14 +43,6 @@ TEST(Strings, ParseInt64Malformed) {
   EXPECT_FALSE(parseInt64("-").has_value());
   EXPECT_FALSE(parseInt64("0x").has_value());
   EXPECT_FALSE(parseInt64("99999999999999999999999").has_value());
-}
-
-TEST(Strings, FormatWithCommas) {
-  EXPECT_EQ(formatWithCommas(0), "0");
-  EXPECT_EQ(formatWithCommas(999), "999");
-  EXPECT_EQ(formatWithCommas(1000), "1,000");
-  EXPECT_EQ(formatWithCommas(1234567), "1,234,567");
-  EXPECT_EQ(formatWithCommas(-45000), "-45,000");
 }
 
 TEST(Strings, FormatPercent) {
